@@ -321,7 +321,7 @@ def cmd_solve(args) -> int:
             print(f"partial trace written to {_out_path(cfg, 'trace.csv')}", file=sys.stderr)
         raise
 
-    report = verify_E(domain, disc, z)
+    report = result.report
     ok = report.passed and result.certificate_gap < GAP_TOL
 
     if cfg.format == "csv":
@@ -458,7 +458,7 @@ def _table_cell(domain, pts, cfg, newton, cell):
         )
         return base, None
     result, disc = lempert_distance(domain, pts[i], pts[j], cfg.continuation, newton)
-    report = verify_E(domain, disc, pts[i])
+    report = result.report
     base.update(
         value=result.value,
         xi=result.xi_or_lambda,

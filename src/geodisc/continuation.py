@@ -11,7 +11,7 @@ every t.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .stationary import (
     Constraint,
     NewtonConfig,
     StationaryDisc,
+    _dual_from_normal,
+    _holder_constant,
     _next_pow2,
     newton_solve,
     normalize,
@@ -128,18 +130,8 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
     vals = mobius_ball(z, Z[:, None] * u[None, :])
     f = FourierDisc.from_boundary_values(vals, 0, N + 1)
 
-    fv = f.boundary_values(M)
-    fpv = dc.differentiate(f).boundary_values(M)
-    inv_rho = np.einsum("m,mj,mj->m", Z, fpv, np.conj(fv))
-    # NOTE: the tolerance is loose on purpose: near-boundary base points
-    # leave truncation noise of order |z|^N here, and the Newton corrector
-    # downstream absorbs defects far larger than 1e-6
-    if np.max(np.abs(inv_rho.imag)) > 1e-6 or np.min(inv_rho.real) <= 0.0:
-        raise NonConstantPairing("ball seed pairing is not positive real")
-    rho_vals = 1.0 / inv_rho.real
-    ftv = Z[:, None] * rho_vals[:, None] * np.conj(fv)
-    spec = np.fft.fft(ftv, axis=0) / M
-    f_tilde = FourierDisc(spec[: min(2 * N + 3, M // 2)].copy(), 0)
+    # the unit normal of the ball along the disc is f itself
+    rho_vals, f_tilde = _dual_from_normal(f, f.boundary_values(M), 2 * N + 3)
     rho = dc.real_field(rho_vals, 2 * N)
     q_vals = rho_vals / rho_vals[0] - 1.0
     q = dc.real_field(q_vals, N)
@@ -166,14 +158,7 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
 
 def _holder_estimate(f: FourierDisc, n_pts: int = 128) -> float:
     M = max(_next_pow2(4 * (f.k_max + 1)), 256)
-    vals = f.boundary_values(M)
-    stride = max(M // n_pts, 1)
-    sub = vals[::stride]
-    zs = unit_grid(M)[::stride]
-    dfz = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
-    dzz = np.sqrt(np.abs(zs[:, None] - zs[None, :]))
-    mask = dzz > 0
-    return float(np.max(dfz[mask] / dzz[mask]))
+    return _holder_constant(f.boundary_values(M), n_pts)
 
 
 def _trace_row(t: float, step: float, disc: StationaryDisc) -> dict:
@@ -272,26 +257,6 @@ def continue_path(
     return PathResult("ok", disc, t, trace)
 
 
-def constraint_path(
-    r, disc: StationaryDisc, target: Constraint,
-    config: ContinuationConfig = None, newton: NewtonConfig = None,
-) -> PathResult:
-    """Continue a solved disc to a new constraint vector in a fixed domain.
-
-    Linear interpolation of the constraint vector; useful as a second-stage
-    leg when a direct solve is seeded too far from the target.
-    """
-    if target.mode != disc.mode:
-        raise InvalidConstraint("constraint mode cannot change along a path")
-    start = disc.constraint_vector.copy()
-
-    def family(t):
-        vec = (1.0 - t) * start + t * target.vector
-        return r, Constraint(target.mode, vec)
-
-    return continue_path(HomotopyProblem(family, disc, 0.0), config, newton)
-
-
 def solve_extremal(
     domain: DomainSpec,
     z,
@@ -331,8 +296,9 @@ def solve_extremal(
         return homotopy_domain(dscaled, t), con_s
 
     # Truncation error in the Fourier band scales like N|z|^N, so base
-    # points close to the boundary can exceed the normalization contract
-    # at the default band.  Retry with a doubled band before giving up.
+    # points close to the boundary can miss the pairing contract of the
+    # seed or of the normalization at the default band.  Retry with a
+    # doubled band, twice, before giving up.
     disc_s = None
     for attempt in range(3):
         nwt = NewtonConfig(
@@ -341,7 +307,12 @@ def solve_extremal(
             max_iter=newton.max_iter,
             max_halvings=newton.max_halvings,
         )
-        seed = ball_seed(z_s, con_s, N=nwt.N)
+        try:
+            seed = ball_seed(z_s, con_s, N=nwt.N)
+        except NonConstantPairing:
+            if attempt == 2:
+                raise
+            continue
         path = continue_path(HomotopyProblem(family, seed, 0.0), config, nwt)
         if path.status != "ok":
             if attempt == 2:

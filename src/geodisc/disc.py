@@ -13,7 +13,7 @@ so numpy's fft of a value grid divided by M recovers a_k at index k mod M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -32,13 +32,11 @@ class FourierDisc:
 
     coeffs has shape (K, *target_shape) with K = k_max - k_min + 1.
     target_shape is () for scalar fields, (m,) for maps into C^m and
-    (p, p) for matrix fields.  ``debt`` accumulates l2 mass discarded by
-    truncating products; it is a diagnostic, not part of the value.
+    (p, p) for matrix fields.
     """
 
     coeffs: np.ndarray
     k_min: int
-    debt: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -123,7 +121,7 @@ class FourierDisc:
             out[lo - k_min : hi - k_min + 1] = self.coeffs[
                 lo - self.k_min : hi - self.k_min + 1
             ]
-        return FourierDisc(out, k_min, debt=self.debt)
+        return FourierDisc(out, k_min)
 
     def coefficient(self, k: int) -> np.ndarray:
         if self.k_min <= k <= self.k_max:
@@ -131,7 +129,7 @@ class FourierDisc:
         return np.zeros(self.target_shape, dtype=complex)
 
     def component(self, j: int) -> "FourierDisc":
-        return FourierDisc(self.coeffs[:, j], self.k_min, debt=self.debt)
+        return FourierDisc(self.coeffs[:, j], self.k_min)
 
     # -- arithmetic that stays in one band ----------------------------------
 
@@ -140,13 +138,13 @@ class FourierDisc:
         k_max = max(self.k_max, other.k_max)
         a = self.band(k_min, k_max)
         b = other.band(k_min, k_max)
-        return FourierDisc(a.coeffs + b.coeffs, k_min, debt=self.debt + other.debt)
+        return FourierDisc(a.coeffs + b.coeffs, k_min)
 
     def __sub__(self, other: "FourierDisc") -> "FourierDisc":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "FourierDisc":
-        return FourierDisc(self.coeffs * scalar, self.k_min, debt=self.debt)
+        return FourierDisc(self.coeffs * scalar, self.k_min)
 
     __rmul__ = __mul__
 
@@ -178,18 +176,6 @@ class FourierDisc:
         for e in entries:
             coeffs[int(e["k"]) - k_min] = np.asarray(e["re"]) + 1j * np.asarray(e["im"])
         return FourierDisc(coeffs.reshape(-1, *target_shape), k_min)
-
-
-@dataclass
-class NormReport:
-    """Norm bundle for one disc: plain l2, Sobolev W^{2,2}, the weighted
-    eps-norm used by the contraction argument, and a sampled sup."""
-
-    l2: float
-    w22: float
-    eps_norm: float
-    sup: float
-    eps: float
 
 
 def unit_grid(M: int) -> np.ndarray:
@@ -225,18 +211,13 @@ def evaluate(u: FourierDisc, zeta) -> np.ndarray:
 def differentiate(u: FourierDisc) -> FourierDisc:
     """d/dzeta: sum k a_k zeta^{k-1}."""
     coeffs = u.ks.reshape(-1, *([1] * len(u.target_shape))) * u.coeffs
-    return FourierDisc(coeffs, u.k_min - 1, debt=u.debt)
+    return FourierDisc(coeffs, u.k_min - 1)
 
 
 def angular_derivative(u: FourierDisc) -> FourierDisc:
     """d/dt of u(e^{it}): multiplies a_k by i*k, same band."""
     coeffs = (1j * u.ks).reshape(-1, *([1] * len(u.target_shape))) * u.coeffs
-    return FourierDisc(coeffs, u.k_min, debt=u.debt)
-
-
-def conj_field(u: FourierDisc) -> FourierDisc:
-    """Pointwise conjugate on the circle: coefficients conj(a_{-k})."""
-    return FourierDisc(np.conj(u.coeffs[::-1]), -u.k_max, debt=u.debt)
+    return FourierDisc(coeffs, u.k_min)
 
 
 def _convolve_bands(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,39 +230,9 @@ def _convolve_bands(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncate(coeffs: np.ndarray, k_min_full: int, k_lo: int, k_hi: int):
-    """Keep [k_lo, k_hi]; return (kept, discarded l2 mass)."""
-    K = coeffs.shape[0]
-    ks = np.arange(k_min_full, k_min_full + K)
-    keep = (ks >= k_lo) & (ks <= k_hi)
-    debt = float(np.sqrt(np.sum(np.abs(coeffs[~keep]) ** 2)))
-    out = np.zeros((k_hi - k_lo + 1, *coeffs.shape[1:]), dtype=complex)
-    kept_ks = ks[keep]
-    if kept_ks.size:
-        out[kept_ks - k_lo] = coeffs[keep]
-    return out, debt
-
-
-def boundary_product(u: FourierDisc, v: FourierDisc, full: bool = False) -> FourierDisc:
-    """Pointwise product on the circle (coefficient convolution).
-
-    By default the result is truncated back to order N = max(u.N, v.N)
-    and the discarded tail's l2 mass is added to ``debt``.  full=True keeps
-    the whole convolution (exact).
-    """
-    conv = _convolve_bands(u.coeffs, v.coeffs)
-    k_min_full = u.k_min + v.k_min
-    if full:
-        return FourierDisc(conv, k_min_full, debt=u.debt + v.debt)
-    N = max(u.N, v.N)
-    k_lo = max(k_min_full, -N)
-    k_hi = min(k_min_full + conv.shape[0] - 1, N)
-    out, shed = _truncate(conv, k_min_full, k_lo, k_hi)
-    return FourierDisc(out, k_lo, debt=u.debt + v.debt + shed)
-
-
-def dot_product(u: FourierDisc, v: FourierDisc, full: bool = False) -> FourierDisc:
-    """Bilinear dot z . w = sum_j z_j w_j (no conjugation), as a scalar disc.
+def dot_product(u: FourierDisc, v: FourierDisc) -> FourierDisc:
+    """Bilinear dot z . w = sum_j z_j w_j (no conjugation), as a scalar disc
+    carrying the whole convolution band (exact).
 
     Example: (zeta, i) . (1, zeta) = zeta + i*zeta = (1+i) zeta.
     """
@@ -291,39 +242,7 @@ def dot_product(u: FourierDisc, v: FourierDisc, full: bool = False) -> FourierDi
     conv = sum(
         _convolve_bands(u.coeffs[:, j], v.coeffs[:, j]) for j in range(m)
     )
-    k_min_full = u.k_min + v.k_min
-    if full:
-        return FourierDisc(conv, k_min_full, debt=u.debt + v.debt)
-    N = max(u.N, v.N)
-    k_lo = max(k_min_full, -N)
-    k_hi = min(k_min_full + conv.shape[0] - 1, N)
-    out, shed = _truncate(conv, k_min_full, k_lo, k_hi)
-    return FourierDisc(out, k_lo, debt=u.debt + v.debt + shed)
-
-
-def project_neg(u: FourierDisc) -> FourierDisc:
-    """pi: keep strictly negative frequencies.
-
-    pi(u) = 0 exactly when u extends holomorphically (on the truncated
-    space).  Idempotent.
-    """
-    if u.k_min >= 0:
-        return FourierDisc.zeros(-1, -1, u.target_shape)
-    k_hi = min(u.k_max, -1)
-    return u.band(u.k_min, k_hi)
-
-
-def project_conj_neg(u: FourierDisc) -> FourierDisc:
-    """P: u -> sum_{k>=1} conj(a_{-k}) zeta^k.
-
-    Sends a*zeta^{-1} to conj(a)*zeta and 2cos(t) to zeta; P(P(u)) = 0
-    because the image has no negative frequencies left to reflect.
-    """
-    if u.k_min >= 0:
-        return FourierDisc.zeros(1, 1, u.target_shape)
-    neg = u.band(u.k_min, -1)
-    coeffs = np.conj(neg.coeffs[::-1])  # index 0 <-> k = 1
-    return FourierDisc(coeffs, 1, debt=u.debt)
+    return FourierDisc(conv, u.k_min + v.k_min)
 
 
 def check_real(u: FourierDisc, tol: float = REALITY_TOL) -> float:
@@ -365,29 +284,7 @@ def analytic_completion(eta: FourierDisc, normalization: float = 0.0) -> Fourier
     coeffs[0] = np.real(eta.coefficient(0)) + 1j * normalization
     for k in range(1, k_hi + 1):
         coeffs[k] = 2.0 * eta.coefficient(k)
-    return FourierDisc(coeffs, 0, debt=eta.debt)
-
-
-def norms(u: FourierDisc, eps: float = 0.0) -> NormReport:
-    """l2, W^{2,2}, eps-norm, and sampled sup of one disc.
-
-    W^{2,2} weights |a_k|^2 by (1 + k^2 + k^4).  The eps-norm is
-    l2(u) + eps*l2(u') + eps^2*l2(u'') with angular derivatives, so it
-    collapses to l2 at eps = 0.  sup is a dense boundary sample (Frobenius
-    norm pointwise for non-scalar targets).
-    """
-    a2 = np.abs(u.coeffs.reshape(u.coeffs.shape[0], -1)) ** 2
-    per_k = a2.sum(axis=1)
-    ks = u.ks.astype(float)
-    l2 = float(np.sqrt(per_k.sum()))
-    w22 = float(np.sqrt(((1.0 + ks**2 + ks**4) * per_k).sum()))
-    d1 = float(np.sqrt((ks**2 * per_k).sum()))
-    d2 = float(np.sqrt((ks**4 * per_k).sum()))
-    eps_norm = l2 + eps * d1 + eps * eps * d2
-    M = max(8 * (abs(u.k_min) + abs(u.k_max) + 1), 256)
-    vals = u.boundary_values(M).reshape(M, -1)
-    sup = float(np.max(np.linalg.norm(vals, axis=1)))
-    return NormReport(l2=l2, w22=w22, eps_norm=eps_norm, sup=sup, eps=eps)
+    return FourierDisc(coeffs, 0)
 
 
 def winding_values(vals: np.ndarray, min_modulus: float = 1e-8) -> int:

@@ -4,9 +4,8 @@ A domain in C^n is described by a real polynomial r in the 2n interleaved
 real coordinates x = (Re z1, Im z1, ..., Re zn, Im zn) with D = {r < 0}.
 This module provides exact polynomial calculus (values, gradients, Hessians,
 Wirtinger derivatives), the Minkowski gauge with derivatives via the
-implicit function theorem, sampled convexity verification, the homotopy
-family joining a domain to the unit ball, and the inner/outer ball radii
-used by the continuation heuristics.
+implicit function theorem, sampled convexity verification, and the homotopy
+family joining a domain to the unit ball.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .errors import (
     LeftDomain,
     NoConvergence,
 )
+from .factor import _top_singular
 
 GAUGE_TOL = 1e-13
 GAUGE_MAX_ITER = 80
@@ -174,13 +174,6 @@ class PolynomialDefiningFunction:
 # ---------------------------------------------------------------------------
 
 
-def eval_with_derivatives(r, point):
-    """(value, gradient, Hessian) of r in real coordinates at one or many
-    points (complex length-n or real length-2n)."""
-    X = _as_real_point(point, r.n)
-    return r.value_gradient_hessian(X)
-
-
 def wirtinger(grad: np.ndarray, hess: np.ndarray):
     """Convert real gradient/Hessian (interleaved coords) to complex data.
 
@@ -201,7 +194,7 @@ def wirtinger(grad: np.ndarray, hess: np.ndarray):
 
 def complex_derivatives(r, point):
     """(r_z, r_zz, r_zzbar) at one or many complex points."""
-    _, grad, hess = eval_with_derivatives(r, point)
+    _, grad, hess = r.value_gradient_hessian(_as_real_point(point, r.n))
     return wirtinger(grad, hess)
 
 
@@ -337,16 +330,6 @@ def _gauge_sq_derivatives_batch(r, X: np.ndarray):
 
 
 @dataclass
-class BallRadii:
-    """Inner/outer curvature radii and the derived step radii."""
-
-    M: float
-    m: float
-    r_int: float
-    R_ext: float
-
-
-@dataclass
 class DomainSpec:
     """A bounded domain D = {r < 0} in C^n together with its kind.
 
@@ -471,17 +454,6 @@ def minkowski(domain: DomainSpec, point) -> float:
     return float(domain.gauge_many(X))
 
 
-def minkowski_ray(domain: DomainSpec, point) -> float:
-    """The general ray-root gauge, bypassing closed-form fast paths.
-
-    Used to cross-check the ellipsoid/ball formulas.
-    """
-    X = _as_real_point(point, domain.n)
-    if np.linalg.norm(X) == 0.0:
-        return 0.0
-    return float(_gauge_batch(domain.defining, X[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # homotopy family
 # ---------------------------------------------------------------------------
@@ -574,11 +546,6 @@ def _boundary_samples(domain: DomainSpec, n_samples: int, seed: int) -> np.ndarr
     return c[:, None] * U
 
 
-def symmetric_form_norm(A: np.ndarray) -> np.ndarray:
-    """Batched largest singular value of complex symmetric matrices."""
-    return np.linalg.svd(A, compute_uv=False)[..., 0]
-
-
 def verify_convexity(
     domain: DomainSpec, n_samples: int = 2048, n_tangent: int = 64, seed: int = 0
 ) -> dict:
@@ -616,7 +583,7 @@ def verify_convexity(
     beta_r = np.einsum("pji,pjk,pkl->pil", np.conj(basis), r_zzbar, basis)
     alpha_r = np.einsum("pji,pjk,pkl->pil", basis, r_zz, basis)
     lin_margin = float(
-        np.min(np.linalg.eigvalsh(beta_r)[:, 0] - symmetric_form_norm(alpha_r))
+        np.min(np.linalg.eigvalsh(beta_r)[:, 0] - _top_singular(alpha_r))
     )
 
     # random tangent directions as a sampled upper bound on the real margin
@@ -636,68 +603,6 @@ def verify_convexity(
             "convexity_sampled": sampled_margin,
         },
     }
-
-
-# ---------------------------------------------------------------------------
-# ball radii
-# ---------------------------------------------------------------------------
-
-
-def ball_radii(
-    domain: DomainSpec,
-    delta: float,
-    n_dirs: int = 512,
-    n_radii: int = 24,
-    seed: int = 0,
-) -> BallRadii:
-    """Curvature bounds of the gauge squared and the derived radii.
-
-    Assumes the domain has been rescaled into the closed unit ball and
-    contains delta*B.  M bounds the Hessian of mu^2 against the gradient on
-    the shell 2B minus delta*B; m is the corresponding lower bound on the
-    punctured unit ball; r_int = min(1/(2M), dist(bd D, delta B)/2) and
-    R_ext = 2/m.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((n_dirs, 2 * domain.n))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-
-    r_bdry = 1.0 / domain.gauge_many(U)
-    r_min_bdry = float(np.min(r_bdry))
-    if delta >= r_min_bdry:
-        raise DomainViolation(
-            f"delta = {delta} but the domain only contains {r_min_bdry:.6f} * ball"
-        )
-
-    def curvature_stats(radii):
-        lams_max, lams_min, gmins, gmaxs = [], [], [], []
-        for rad in radii:
-            X = rad * U
-            _, g2, h2 = domain.gauge_sq_derivatives(X)
-            eigs = np.linalg.eigvalsh(h2)
-            lams_max.append(np.max(eigs))
-            lams_min.append(np.min(eigs))
-            gn = np.linalg.norm(g2, axis=1)
-            gmins.append(np.min(gn))
-            gmaxs.append(np.max(gn))
-        return max(lams_max), min(lams_min), min(gmins), max(gmaxs)
-
-    shell = np.linspace(delta, 2.0, n_radii)
-    lmax, _, gmin, _ = curvature_stats(shell)
-    M = float(lmax / gmin)
-
-    inner = np.linspace(0.05, 1.0, n_radii)
-    _, lmin, _, gmax = curvature_stats(inner)
-    m = float(lmin / gmax)
-
-    if m <= 0.0:
-        raise DomainViolation("gauge is not strongly convex on the sampled ball")
-
-    r_int = min(1.0 / (2.0 * M), (r_min_bdry - delta) / 2.0)
-    R_ext = 2.0 / m
-    return BallRadii(M=M, m=m, r_int=r_int, R_ext=R_ext)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@ class SpectralFactor:
     det_winding: int = 0
 
 
+def _top_singular(A: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., p, p) stack."""
+    return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+
 def symmetric_norm(A, tol: float = 1e-12) -> float:
     """sup_{|z|=1 in C^m} |z^T A z| for complex symmetric A.
 
@@ -47,7 +52,7 @@ def symmetric_norm(A, tol: float = 1e-12) -> float:
         raise NotSymmetric("expected a square matrix")
     if float(np.max(np.abs(A - A.T))) > tol:
         raise NotSymmetric("matrix is not complex symmetric")
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(_top_singular(A))
 
 
 def symmetric_norm_sampled(
@@ -76,15 +81,6 @@ def symmetric_norm_sampled(
         if v > best:
             best = float(v)
     return best
-
-
-def _grid_values(beta: FourierDisc, M: int) -> np.ndarray:
-    return beta.boundary_values(M)
-
-
-def _op_norms(A: np.ndarray) -> np.ndarray:
-    """Batched spectral norms of (M, p, p) stacks."""
-    return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
 def _check_beta(beta: FourierDisc, Bv: np.ndarray):
@@ -119,7 +115,7 @@ def spectral_factorize(
         N_work = max(2 * max(abs(beta.k_min), beta.k_max), 32)
     M = 1 << max(int(np.ceil(np.log2(max(8 * N_work, 512)))), 9)
 
-    Bv = _grid_values(beta, M)
+    Bv = beta.boundary_values(M)
     _check_beta(beta, Bv)
 
     # constant Cholesky start from the mean of beta
@@ -132,7 +128,7 @@ def spectral_factorize(
 
     def residual_of(Hvals):
         return float(
-            np.max(_op_norms(Hvals @ np.conj(np.swapaxes(Hvals, -1, -2)) - Bv))
+            np.max(_top_singular(Hvals @ np.conj(np.swapaxes(Hvals, -1, -2)) - Bv))
         )
 
     res = residual_of(Hv)

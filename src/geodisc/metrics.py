@@ -21,17 +21,21 @@ from .disc import FourierDisc
 from .domain import DomainSpec
 from .errors import DomainViolation, NewtonFailure, WindingNotOne
 from .continuation import ContinuationConfig, solve_extremal
-from .stationary import Constraint, NewtonConfig, StationaryDisc, verify_E
+from .stationary import Constraint, EReport, NewtonConfig, StationaryDisc, verify_E
 
 
 @dataclass
 class MetricsResult:
+    """One metric value with its certificates; ``report`` is the verify_E
+    report of the disc at the base point and stays out of to_dict."""
+
     kind: str  # "lempert" or "kobayashi"
     value: float
     xi_or_lambda: float
     certificate_gap: float
     windings: dict = dc_field(default_factory=dict)
     residuals: dict = dc_field(default_factory=dict)
+    report: EReport = None
 
     def to_dict(self) -> dict:
         return {
@@ -48,12 +52,7 @@ def G_disc(disc: StationaryDisc, z) -> FourierDisc:
     """G(z, .) = (z - f) . f_tilde as a holomorphic-type disc in zeta."""
     z = np.asarray(z, dtype=complex)
     zf = FourierDisc.constant(z, disc.f.k_max) - disc.f
-    return dc.dot_product(zf, disc.f_tilde, full=True)
-
-
-def G_eval(disc: StationaryDisc, z, zeta) -> np.ndarray:
-    """Evaluate G(z, zeta); for the axis disc of the ball G(0, zeta) = -zeta."""
-    return G_disc(disc, z)(zeta)
+    return dc.dot_product(zf, disc.f_tilde)
 
 
 def left_inverse(disc: StationaryDisc, z) -> complex:
@@ -144,6 +143,7 @@ def lempert_distance(
         certificate_gap=gap,
         windings=cert["windings"],
         residuals=cert["residuals"],
+        report=cert["report"],
     )
     return result, disc
 
@@ -178,6 +178,7 @@ def kobayashi_royden(
         certificate_gap=abs(value - cert_value),
         windings=cert["windings"],
         residuals=cert["residuals"],
+        report=cert["report"],
     )
     return result, disc
 

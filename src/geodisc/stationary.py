@@ -24,7 +24,7 @@ import numpy as np
 
 from . import disc as dc
 from .disc import FourierDisc, unit_grid
-from .domain import DomainSpec, real_coords, wirtinger
+from .domain import DomainSpec, complex_gradient, real_coords, wirtinger
 from .errors import (
     ContractionFailure,
     DegenerateGradient,
@@ -34,7 +34,7 @@ from .errors import (
     NonConstantPairing,
     NotSymmetric,
 )
-from .factor import SpectralFactor, spectral_factorize
+from .factor import SpectralFactor, _top_singular, spectral_factorize
 
 PAIRING_TOL = 1e-8
 
@@ -509,6 +509,77 @@ def _parts_from_grid(d, constraint: Constraint, f, q, N) -> ResidualParts:
     )
 
 
+def _pairing(f: FourierDisc, f_tilde: FourierDisc, M: int, c0=None):
+    """f' . f_tilde on the M-point grid.
+
+    Returns (c0, dev, ftv): the pairing constant (the grid mean unless c0
+    is given), the largest deviation of the pairing from it, and the grid
+    values of f_tilde.
+    """
+    fpv = dc.differentiate(f).boundary_values(M)
+    ftv = f_tilde.boundary_values(M)
+    pairing = np.einsum("mj,mj->m", fpv, ftv)
+    if c0 is None:
+        c0 = complex(np.mean(pairing))
+    return c0, float(np.max(np.abs(pairing - c0))), ftv
+
+
+def _rescaled_dual(f_tilde: FourierDisc, ftv: np.ndarray, c0: complex, rho_band: int):
+    """(f_tilde, rho) divided by the pairing constant c0, rho = |f_tilde|
+    on the grid of ftv; raises NonConstantPairing unless c0 is real
+    positive."""
+    if abs(c0.imag) > PAIRING_TOL * max(1.0, abs(c0)) or c0.real <= 0:
+        raise NonConstantPairing(f"pairing constant {c0:.3e} is not real positive")
+    rho_vals = np.linalg.norm(ftv, axis=1) / c0.real
+    return f_tilde * (1.0 / c0.real), dc.real_field(rho_vals, rho_band)
+
+
+def _unit_normal(r, fv: np.ndarray):
+    """(r o f, |grad r o f|, nu o f) at the boundary samples fv; raises
+    DegenerateGradient where the gradient vanishes."""
+    val, grad, _ = r.value_gradient_hessian(real_coords(fv))
+    gc = complex_gradient(grad)
+    gn = np.linalg.norm(gc, axis=1)
+    if np.min(gn) < 1e-10:
+        raise DegenerateGradient("gradient vanishes along the disc boundary")
+    return val, gn, gc / gn[:, None]
+
+
+def _dual_from_normal(f: FourierDisc, nu: np.ndarray, n_coeffs: int):
+    """rho and f_tilde of the disc f from its unit normal nu o f sampled on
+    a uniform grid: 1/rho = <zeta f', nu o f> and f_tilde =
+    zeta*rho*conj(nu o f), kept to its first n_coeffs frequencies.
+    Returns (rho values, f_tilde).
+
+    The positivity test is loose on purpose: near-boundary discs leave
+    truncation noise of order |z|^N here, and the Newton corrector absorbs
+    defects far larger than 1e-6.
+    """
+    M = nu.shape[0]
+    Z = unit_grid(M)
+    fpv = dc.differentiate(f).boundary_values(M)
+    inv_rho = np.einsum("m,mj,mj->m", Z, fpv, np.conj(nu))
+    if np.max(np.abs(inv_rho.imag)) > 1e-6 or np.min(inv_rho.real) <= 0:
+        raise NonConstantPairing("<zeta f', nu o f> is not positive real on the circle")
+    rho_vals = 1.0 / inv_rho.real
+    ftv = Z[:, None] * rho_vals[:, None] * np.conj(nu)
+    spec = np.fft.fft(ftv, axis=0) / M
+    return rho_vals, FourierDisc(spec[: min(n_coeffs, M // 2)].copy(), 0)
+
+
+def _holder_constant(vals: np.ndarray, n_pts: int) -> float:
+    """Empirical 1/2-Holder constant of boundary values sampled on the
+    uniform grid, from every (M // n_pts)-th sample."""
+    M = vals.shape[0]
+    stride = max(M // n_pts, 1)
+    sub = vals[::stride]
+    zs = unit_grid(M)[::stride]
+    dfz = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
+    dzz = np.sqrt(np.abs(zs[:, None] - zs[None, :]))
+    mask = dzz > 0
+    return float(np.max(dfz[mask] / dzz[mask]))
+
+
 def _assemble_disc(
     r, f: FourierDisc, q: FourierDisc, mult: float, constraint: Constraint,
     rn: float, d: dict,
@@ -521,19 +592,8 @@ def _assemble_disc(
     keep = min(2 * q.k_max + 2, M // 2 - 1)
     ft_raw = FourierDisc(spec[: keep + 1].copy(), 0)
     neg_tail = float(np.sqrt(np.sum(np.abs(spec[M // 2 :]) ** 2)))
-
-    fpv = dc.differentiate(f).boundary_values(M)
-    ftv = ft_raw.boundary_values(M)
-    pairing = np.einsum("mj,mj->m", fpv, ftv)
-    c0 = complex(np.mean(pairing))
-    dev = float(np.max(np.abs(pairing - c0)))
-    if abs(c0.imag) > PAIRING_TOL * max(1.0, abs(c0)) or c0.real <= 0:
-        raise NonConstantPairing(
-            f"pairing constant {c0:.3e} is not real positive"
-        )
-    f_tilde = ft_raw * (1.0 / c0.real)
-    rho_vals = np.linalg.norm(ftv, axis=1) / c0.real
-    rho = dc.real_field(rho_vals, min(2 * q.k_max, M // 2 - 1))
+    c0, dev, ftv = _pairing(f, ft_raw, M)
+    f_tilde, rho = _rescaled_dual(ft_raw, ftv, c0, min(2 * q.k_max, M // 2 - 1))
     return StationaryDisc(
         f=f,
         f_tilde=f_tilde,
@@ -555,20 +615,14 @@ def normalize(disc: StationaryDisc) -> StationaryDisc:
     constant term; raises NonConstantPairing if the pairing is genuinely
     nonconstant (deviation > 1e-8)."""
     M = max(4 * (disc.f.k_max + disc.f_tilde.k_max + 2), 256)
-    fpv = dc.differentiate(disc.f).boundary_values(M)
-    ftv = disc.f_tilde.boundary_values(M)
-    pairing = np.einsum("mj,mj->m", fpv, ftv)
-    c0 = complex(np.mean(pairing))
-    dev = float(np.max(np.abs(pairing - c0)))
+    c0, dev, ftv = _pairing(disc.f, disc.f_tilde, M)
     if dev > PAIRING_TOL * max(1.0, abs(c0)):
         raise NonConstantPairing(
             f"f'.f_tilde deviates from a constant by {dev:.3e}"
         )
-    if abs(c0.imag) > PAIRING_TOL * max(1.0, abs(c0)) or c0.real <= 0:
-        raise NonConstantPairing(f"pairing constant {c0:.3e} is not real positive")
-    f_tilde = disc.f_tilde * (1.0 / c0.real)
-    rho_vals = np.linalg.norm(ftv, axis=1) / c0.real
-    rho = dc.real_field(rho_vals, max(disc.q.k_max, disc.rho.k_max))
+    f_tilde, rho = _rescaled_dual(
+        disc.f_tilde, ftv, c0, max(disc.q.k_max, disc.rho.k_max)
+    )
     out = StationaryDisc(
         f=disc.f,
         f_tilde=f_tilde,
@@ -592,23 +646,8 @@ def disc_from_f(r, f: FourierDisc, mode: str, multiplier: float, vector) -> Stat
     invariance under disc automorphisms.
     """
     N = f.k_max
-    M = _grid_size(r, N)
-    Z = unit_grid(M)
-    fv = f.boundary_values(M)
-    _, grad, _ = r.value_gradient_hessian(real_coords(fv))
-    gc = grad[:, 0::2] + 1j * grad[:, 1::2]
-    gn = np.linalg.norm(gc, axis=1)
-    if np.min(gn) < 1e-10:
-        raise DegenerateGradient("gradient vanishes along the disc boundary")
-    nu = gc / gn[:, None]
-    fpv = dc.differentiate(f).boundary_values(M)
-    inv_rho = np.einsum("mj,mj->m", Z[:, None] * fpv, np.conj(nu))
-    if np.max(np.abs(inv_rho.imag)) > 1e-6 or np.min(inv_rho.real) <= 0:
-        raise NonConstantPairing("Eq-(rho) pairing is not positive real on the circle")
-    rho_vals = 1.0 / inv_rho.real
-    ftv = Z[:, None] * rho_vals[:, None] * np.conj(nu)
-    spec = np.fft.fft(ftv, axis=0) / M
-    f_tilde = FourierDisc(spec[: min(2 * N + 2, M // 2)].copy(), 0)
+    _, gn, nu = _unit_normal(r, f.boundary_values(_grid_size(r, N)))
+    rho_vals, f_tilde = _dual_from_normal(f, nu, 2 * N + 2)
     ratio = rho_vals * gn
     q_vals = ratio / ratio[0] - 1.0
     q = dc.real_field(q_vals, N)
@@ -660,13 +699,8 @@ def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     M = max(8 * N, 512)
     Z = unit_grid(M)
     fv = disc.f.boundary_values(M)
-    val, grad, _ = r.value_gradient_hessian(real_coords(fv))
+    val, _, nu = _unit_normal(r, fv)
     sup_r = float(np.max(np.abs(val)))
-    gc = grad[:, 0::2] + 1j * grad[:, 1::2]
-    gn = np.linalg.norm(gc, axis=1)
-    if np.min(gn) < 1e-10:
-        raise DegenerateGradient("gradient vanishes along the disc boundary")
-    nu = gc / gn[:, None]
 
     rho_vals = np.real(disc.rho.boundary_values(M))
     min_rho = float(np.min(rho_vals))
@@ -683,22 +717,12 @@ def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     wind_phi = dc.winding_values(phi_vals)
 
     zf = FourierDisc.constant(z, disc.f.k_max) - disc.f
-    G = dc.dot_product(zf, disc.f_tilde, full=True)
+    G = dc.dot_product(zf, disc.f_tilde)
     wind_G = dc.winding(G)
 
-    # empirical 1/2-Holder constant of the boundary trace
-    sub = fv[:: max(M // 384, 1)]
-    zs = Z[:: max(M // 384, 1)]
-    dfz = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
-    dzz = np.sqrt(np.abs(zs[:, None] - zs[None, :]))
-    mask = dzz > 0
-    holder = float(np.max(dfz[mask] / dzz[mask]))
-
+    holder = _holder_constant(fv, 384)
     M2 = max(4 * (disc.f.k_max + disc.f_tilde.k_max + 2), 256)
-    fpv = dc.differentiate(disc.f).boundary_values(M2)
-    ftv = disc.f_tilde.boundary_values(M2)
-    pairing = np.einsum("mj,mj->m", fpv, ftv)
-    pairing_dev = float(np.max(np.abs(pairing - 1.0)))
+    _, pairing_dev, _ = _pairing(disc.f, disc.f_tilde, M2, c0=1.0)
 
     passed = (
         sup_r < 1e-9
@@ -760,7 +784,7 @@ def _trim(u: FourierDisc, tol: float = 1e-13) -> FourierDisc:
     if nz.size == 0:
         return FourierDisc.zeros(0, 0, u.target_shape)
     lo, hi = nz[0], nz[-1]
-    return FourierDisc(u.coeffs[lo : hi + 1].copy(), u.k_min + int(lo), debt=u.debt)
+    return FourierDisc(u.coeffs[lo : hi + 1].copy(), u.k_min + int(lo))
 
 
 def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512) -> LinearizedData:
@@ -784,7 +808,7 @@ def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512
     asym = float(np.max(np.abs(gamma_v - np.swapaxes(gamma_v, -1, -2))))
     if asym > 1e-8:
         raise NotSymmetric(f"gamma is not symmetric on the grid ({asym:.2e})")
-    sup_gamma = float(np.max(np.linalg.svd(gamma_v, compute_uv=False)[..., 0]))
+    sup_gamma = float(np.max(_top_singular(gamma_v)))
     margin = 1.0 - sup_gamma
     if margin <= 0.0:
         raise ContractionFailure(
@@ -804,7 +828,7 @@ def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512
     )
 
 
-def contraction_solve(
+def contraction_solve_report(
     gamma: FourierDisc,
     rhs: FourierDisc,
     a,
@@ -817,23 +841,10 @@ def contraction_solve(
 
     Solves the reflected holomorphy condition: gamma*h + conj(h) - rhs has
     no negative frequencies, with the value constraint h(0) = a (or
-    h(xi0) = a via the Mobius involution when xi0 is given).  Returns h;
-    contraction_solve_report additionally returns the measured
-    per-iteration eps-norm ratios and the selected eps.
+    h(xi0) = a via the Mobius involution when xi0 is given).  Returns
+    (h, ContractionReport) with the measured per-iteration eps-norm ratios
+    and the selected eps.
     """
-    h, _ = contraction_solve_report(gamma, rhs, a, eps=eps, tol=tol, xi0=xi0, max_iter=max_iter)
-    return h
-
-
-def contraction_solve_report(
-    gamma: FourierDisc,
-    rhs: FourierDisc,
-    a,
-    eps: float = None,
-    tol: float = 1e-13,
-    xi0: float = None,
-    max_iter: int = 500,
-):
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     p = a.shape[0]
     if gamma.target_shape != (p, p):
@@ -857,7 +868,7 @@ def contraction_solve_report(
         gvp = gamma.boundary_values(M_probe)
         rvp = rhs.boundary_values(M_probe)
 
-    sup_g = float(np.max(np.linalg.svd(gvp, compute_uv=False)[..., 0]))
+    sup_g = float(np.max(_top_singular(gvp)))
     margin = 1.0 - sup_g
     if margin <= 1e-9:
         raise NoConvergence(f"sup ||gamma|| = {sup_g:.6f}: no contraction margin")

@@ -1,0 +1,30 @@
+"""The traced benchmark run (geobench/tracer.py) wraps geodisc's call
+sites by name.  Installing and removing the wrappers, without a solve,
+makes a deleted or renamed call site fail here instead of in the middle
+of a benchmark run."""
+
+import importlib
+from pathlib import Path
+
+GEOBENCH = Path(__file__).resolve().parents[1] / "geobench"
+MODULES = ("cli", "continuation", "disc", "domain", "metrics", "stationary")
+
+
+def current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_wraps_and_restores_every_call_site(monkeypatch):
+    monkeypatch.syspath_prepend(str(GEOBENCH))
+    tracing = importlib.import_module("tracer")
+    modules = {name: importlib.import_module(f"geodisc.{name}") for name in MODULES}
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        patches = list(tracer._patches)
+        assert all(current(owner, attr) is not orig for owner, attr, orig in patches)
+    finally:
+        tracer.unwrap_all()
+    assert len(patches) == 20
+    assert all(current(owner, attr) is orig for owner, attr, orig in patches)
+    assert tracer.spans == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geodisc.cli as cli
+import geodisc.metrics as metrics
 from geodisc.continuation import PathResult
 from geodisc.errors import StepUnderflow
 
@@ -406,6 +407,46 @@ def test_table_writes_partial_results_on_failure(tmp_path, ball_file, monkeypatc
     rows = read_csv(out / "table.csv")
     assert len(rows) == 2  # header plus the completed diagonal cell
     assert rows[1][0] == "0" and rows[1][1] == "0"
+
+
+# ---------------------------------------------------------------------------
+# certificates are computed once per solved disc
+# ---------------------------------------------------------------------------
+
+
+def count_verify_E(monkeypatch):
+    calls = []
+    for mod in (cli, metrics):
+        def counted(*args, _orig=mod.verify_E, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "verify_E", counted)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["--to=0,0.3", "--dir=0.3,0.4i"])
+def test_solve_verifies_the_disc_once(tmp_path, ball_file, monkeypatch, target):
+    calls = count_verify_E(monkeypatch)
+    code = cli.main(
+        ["solve", ball_file, "--from", "0.3,0", target,
+         "--N", "16", "--output", str(tmp_path)]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    bundle = json.loads((tmp_path / "disc.json").read_text())
+    assert bundle["certificates"]["passed"] is True
+
+
+def test_table_verifies_each_disc_once(tmp_path, ball_file, monkeypatch, capsys):
+    calls = count_verify_E(monkeypatch)
+    code = cli.main(
+        ["table", ball_file, "--grid", "0,0;0.3,0;0,0.2i",
+         "--N", "16", "--output", str(tmp_path)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert len(calls) == 6  # one per off-diagonal cell
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+from geodisc import continuation
 from geodisc.continuation import (
     ContinuationConfig,
     HomotopyProblem,
     ball_seed,
-    constraint_path,
     continue_path,
     mobius_ball,
     solve_extremal,
 )
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
-from geodisc.errors import DomainViolation, InvalidConstraint, NoConvergence, StepUnderflow
+from geodisc.errors import (
+    DomainViolation,
+    InvalidConstraint,
+    NoConvergence,
+    NonConstantPairing,
+    StepUnderflow,
+)
+from geodisc.metrics import lempert_distance
 from geodisc.stationary import Constraint, NewtonConfig, axis_ball_defining, verify_E
 
 
@@ -212,20 +219,35 @@ def test_solve_rejects_bad_inputs():
         solve_extremal(B, z, Constraint("two-point", z.copy()))
 
 
-def test_constraint_path_matches_direct_solve():
-    B = ball_domain()
-    z = np.array([0.3, 0.1j])
-    d = solve_extremal(B, z, Constraint("two-point", np.array([-0.2, 0.25 + 0.25j])))
-    target = Constraint("two-point", np.array([0.1, -0.3 + 0.1j]))
-    leg = constraint_path(B.defining, d, target)
-    assert leg.status == "ok"
-    direct = solve_extremal(B, z, target)
-    assert leg.disc.multiplier == pytest.approx(direct.multiplier, abs=1e-10)
+def record_seed_bands(monkeypatch):
+    bands = []
+    real = continuation.ball_seed
+
+    def seed(z, constraint, N=64):
+        bands.append(N)
+        return real(z, constraint, N=N)
+
+    monkeypatch.setattr(continuation, "ball_seed", seed)
+    return bands
 
 
-def test_constraint_path_rejects_mode_change():
-    B = ball_domain()
-    d = solve_extremal(B, np.array([0.3, 0.1j]),
-                       Constraint("two-point", np.array([-0.2, 0.25])))
-    with pytest.raises(InvalidConstraint):
-        constraint_path(B.defining, d, Constraint("direction", np.array([1.0, 0.0])))
+def test_seed_failure_moves_to_the_next_band(monkeypatch):
+    # the band-64 ball seed misses its pairing test at |z| = 0.82; band 128
+    # meets it and the seed is already the extremal disc
+    bands = record_seed_bands(monkeypatch)
+    z, w = np.array([0.82, 0.0]), np.array([0.0, 0.5])
+    res, d = lempert_distance(ball_domain(), z, w)
+    assert bands == [64, 128]
+    assert d.f.k_max == 128 + 1
+    expect = np.arctanh(np.sqrt(1.0 - (1.0 - 0.82**2) * (1.0 - 0.5**2)))
+    assert res.value == pytest.approx(expect, abs=1e-12)
+    assert res.certificate_gap < 1e-12
+
+
+def test_seed_failure_raises_after_the_last_band(monkeypatch):
+    # this seed needs band 512, one doubling more than the solver tries
+    bands = record_seed_bands(monkeypatch)
+    with pytest.raises(NonConstantPairing):
+        solve_extremal(ellipsoid_domain([1.0, 2.0]), np.array([0.0, 1.9]),
+                       Constraint("two-point", np.array([0.3, 0.0])))
+    assert bands == [64, 128, 256]

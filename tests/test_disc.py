@@ -1,5 +1,5 @@
-"""Fourier calculus on circle maps: evaluation, products, projections,
-harmonic completion, norms, winding."""
+"""Fourier calculus on circle maps: evaluation, products, harmonic
+completion, winding."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,10 @@ from geodisc.disc import (
     FourierDisc,
     analytic_completion,
     angular_derivative,
-    boundary_product,
     check_real,
-    conj_field,
     differentiate,
     dot_product,
     evaluate,
-    norms,
-    project_conj_neg,
-    project_neg,
     real_field,
     unit_grid,
     winding,
@@ -102,17 +97,10 @@ def test_angular_derivative():
     assert du.coefficient(3) == pytest.approx(3j)
 
 
-def test_boundary_product_powers():
-    u = holo(0.0, 1.0)
-    v = boundary_product(u, u, full=True)
-    assert v.coefficient(2) == pytest.approx(1.0)
-    assert norms(v + (-1.0) * holo(0.0, 0.0, 1.0)).l2 < 1e-14
-
-
 def test_dot_product_no_conjugation():
     e1 = FourierDisc(np.array([[1.0, 0.0]], dtype=complex), 0)
     e2 = FourierDisc(np.array([[0.0, 1.0]], dtype=complex), 0)
-    assert norms(dot_product(e1, e2)).l2 == 0.0
+    assert np.linalg.norm(dot_product(e1, e2).coeffs) == 0.0
     # (zeta, i) . (1, zeta) = (1 + i) zeta
     u = FourierDisc(np.array([[0.0, 1j], [1.0, 0.0]], dtype=complex), 0)
     v = FourierDisc(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), 0)
@@ -120,53 +108,10 @@ def test_dot_product_no_conjugation():
     assert w.coefficient(1) == pytest.approx(1.0 + 1j)
 
 
-def test_project_neg_keeps_negative_band():
-    u = FourierDisc(np.array([1.0, 0.0, 3.0, 1.0], dtype=complex), -2)
-    p = project_neg(u)
-    assert p.coefficient(-2) == pytest.approx(1.0)
-    assert p.coefficient(0) == 0.0 and p.coefficient(1) == 0.0
-
-
-def test_project_neg_kills_holomorphic():
-    assert norms(project_neg(holo(1.0, 2.0, 3.0))).l2 == 0.0
-
-
-def test_project_neg_idempotent():
-    rng = np.random.default_rng(7)
-    c = rng.normal(size=(11,)) + 1j * rng.normal(size=(11,))
-    u = FourierDisc(c, -5)
-    once = project_neg(u)
-    twice = project_neg(once)
-    assert np.max(np.abs(once.coeffs - twice.coeffs)) == 0.0
-
-
-def test_project_conj_neg_flips_frequency():
-    a = 2.0 + 1j
-    u = FourierDisc(np.array([a, 0.0], dtype=complex), -1)
-    p = project_conj_neg(u)
-    assert p.coefficient(1) == pytest.approx(np.conj(a))
-    assert p.k_min >= 0
-
-
-def test_project_conj_neg_on_projection_vanishes():
-    rng = np.random.default_rng(8)
-    c = rng.normal(size=(9,)) + 1j * rng.normal(size=(9,))
-    u = FourierDisc(c, -4)
-    assert norms(project_conj_neg(project_conj_neg(u))).l2 == 0.0
-
-
-def test_project_conj_neg_of_two_cos():
-    # 2 cos t = zeta + zeta^{-1}  ->  P(u) = zeta
-    u = FourierDisc(np.array([1.0, 0.0, 1.0], dtype=complex), -1)
-    p = project_conj_neg(u)
-    assert p.coefficient(1) == pytest.approx(1.0)
-    assert norms(p + (-1.0) * holo(0.0, 1.0)).l2 < 1e-15
-
-
 def test_analytic_completion_cos():
     eta = FourierDisc(np.array([0.5, 0.0, 0.5], dtype=complex), -1)  # cos t
     G = analytic_completion(eta)
-    assert norms(G + (-1.0) * holo(0.0, 1.0)).l2 < 1e-14
+    assert np.linalg.norm((G + (-1.0) * holo(0.0, 1.0)).coeffs) < 1e-14
 
 
 def test_analytic_completion_constant():
@@ -209,36 +154,6 @@ def test_real_field_symmetry():
         assert u.coefficient(-k) == pytest.approx(np.conj(u.coefficient(k)))
 
 
-def test_norms_identity_disc():
-    rep = norms(holo(0.0, 1.0))
-    assert rep.w22 == pytest.approx(np.sqrt(3.0))
-    assert rep.l2 == pytest.approx(1.0)
-
-
-def test_norms_constant():
-    rep = norms(holo(1.0))
-    assert rep.l2 == pytest.approx(1.0)
-    assert rep.w22 == pytest.approx(1.0)
-    assert rep.sup == pytest.approx(1.0)
-
-
-def test_sup_bounded_by_w_norm():
-    # |u|_sup <= (pi/sqrt 3) |u|_W on random discs
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        c = rng.normal(size=(13,)) + 1j * rng.normal(size=(13,))
-        rep = norms(FourierDisc(c, -6))
-        assert rep.sup <= (np.pi / np.sqrt(3.0)) * rep.w22 + 1e-12
-
-
-def test_eps_norm_reduces_to_l2():
-    rng = np.random.default_rng(6)
-    c = rng.normal(size=(9,)) + 1j * rng.normal(size=(9,))
-    u = FourierDisc(c, -4)
-    assert norms(u, eps=0.0).eps_norm == pytest.approx(norms(u).l2)
-    assert norms(u, eps=0.5).eps_norm >= norms(u).l2
-
-
 def test_winding_powers():
     assert winding(holo(0.0, 0.0, 0.0, 1.0)) == 3
     assert winding(FourierDisc(np.array([1.0 + 0j]), -1)) == -1
@@ -255,7 +170,7 @@ def test_winding_additive_on_products():
         c1[-1] = 1.0
         c2[-1] = 1.0
         u, v = FourierDisc(c1, 0), FourierDisc(c2, 0)
-        uv = boundary_product(u, v, full=True)
+        uv = FourierDisc(np.convolve(c1, c2), 0)
         assert winding(uv) == winding(u) + winding(v) == k1 + k2
 
 
@@ -279,14 +194,6 @@ def test_winding_ambiguous_jump():
     vals = np.where(np.arange(16) % 2 == 0, 1.0, -1.0).astype(complex)
     with pytest.raises(AmbiguousWinding):
         winding_values(vals)
-
-
-def test_conj_field_on_boundary():
-    rng = np.random.default_rng(13)
-    c = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-    u = FourierDisc(c, -3)
-    z = unit_grid(32)
-    assert np.max(np.abs(conj_field(u)(z) - np.conj(u(z)))) < 1e-13
 
 
 def test_band_and_coefficient_access():

@@ -1,5 +1,5 @@
 """Defining functions, Wirtinger calculus, gauges, homotopy family,
-convexity sampling, ball radii, and the JSON domain format."""
+convexity sampling, and the JSON domain format."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from geodisc.domain import (
     DomainSpec,
     PolynomialDefiningFunction,
-    ball_radii,
     complex_coords,
     complex_derivatives,
     domain_to_dict,
@@ -242,21 +241,6 @@ def test_rescaled_ellipsoid():
     assert delta == pytest.approx(0.5)
     # the scaled domain sits inside the closed unit ball
     assert minkowski(scaled, np.array([0.0, 0.999 + 0j])) < 1.0
-
-
-def test_ball_radii_closed_form():
-    rep = ball_radii(ball(), 0.5)
-    assert rep.M == pytest.approx(2.0, rel=1e-6)
-    assert rep.m == pytest.approx(1.0, rel=1e-6)
-    assert rep.r_int == pytest.approx(0.25, rel=1e-6)
-    assert rep.R_ext == pytest.approx(2.0, rel=1e-6)
-
-
-def test_ball_radii_ordering():
-    d = ellipsoid([1.0, 1.5])
-    scaled, _, delta = d.rescaled()
-    rep = ball_radii(scaled, delta * 0.9)
-    assert rep.r_int <= rep.R_ext
 
 
 def test_load_domain_roundtrip():

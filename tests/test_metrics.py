@@ -10,7 +10,7 @@ from geodisc.disc import FourierDisc
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
 from geodisc.errors import DomainViolation, WindingNotOne
 from geodisc.metrics import (
-    G_eval,
+    G_disc,
     geodesic_consistency,
     kobayashi_royden,
     left_inverse,
@@ -90,7 +90,7 @@ def test_poincare_rejects_exterior_points():
 
 def test_axis_disc_G_is_minus_zeta():
     d = axis_disc()
-    vals = G_eval(d, np.zeros(2), np.array([0.3 + 0j, -0.5j, 0.1 + 0.1j]))
+    vals = G_disc(d, np.zeros(2))(np.array([0.3 + 0j, -0.5j, 0.1 + 0.1j]))
     assert np.allclose(vals, [-0.3, 0.5j, -0.1 - 0.1j], atol=1e-13)
 
 

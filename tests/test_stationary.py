@@ -20,7 +20,6 @@ from geodisc.stationary import (
     Constraint,
     NewtonConfig,
     axis_ball_defining,
-    contraction_solve,
     contraction_solve_report,
     disc_from_f,
     linearized_data,
@@ -540,18 +539,18 @@ def test_contraction_rejects_margin_loss():
     g = random_symmetric_gamma(rng, 2, 2, 1.05)
     rhs = FourierDisc.zeros(-1, -1, (2,))
     with pytest.raises(NoConvergence):
-        contraction_solve(g, rhs, np.zeros(2))
+        contraction_solve_report(g, rhs, np.zeros(2))
 
 
 def test_contraction_rejects_shape_mismatch():
     g = FourierDisc.zeros(0, 0, (2, 2))
     rhs = FourierDisc.zeros(-1, -1, (2,))
     with pytest.raises(ValueError):
-        contraction_solve(g, rhs, np.zeros(3))
+        contraction_solve_report(g, rhs, np.zeros(3))
 
 
 def test_contraction_rejects_bad_xi0():
     g = FourierDisc.zeros(0, 0, (1, 1))
     rhs = FourierDisc.zeros(-1, -1, (1,))
     with pytest.raises(ValueError):
-        contraction_solve(g, rhs, np.zeros(1), xi0=1.5)
+        contraction_solve_report(g, rhs, np.zeros(1), xi0=1.5)

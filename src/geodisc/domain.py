@@ -5,12 +5,14 @@ real coordinates x = (Re z1, Im z1, ..., Re zn, Im zn) with D = {r < 0}.
 This module provides exact polynomial calculus (values, gradients, Hessians,
 Wirtinger derivatives), the Minkowski gauge with derivatives via the
 implicit function theorem, sampled convexity verification, and the homotopy
-family joining a domain to the unit ball.
+family joining a domain to the unit ball.  For every kind of domain the
+gauge mu(x) is the largest positive root of one polynomial per ray: with
+r(c*x) = sum_d h_d(x) c^d split by degree, mu(x) = 1/c is the largest
+positive root s of sum_d h_d(x) s^(D-d).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,9 +25,6 @@ from .errors import (
     NoConvergence,
 )
 from .factor import _top_singular
-
-GAUGE_TOL = 1e-13
-GAUGE_MAX_ITER = 80
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +197,6 @@ def complex_derivatives(r, point):
     return wirtinger(grad, hess)
 
 
-def complex_gradient(grad: np.ndarray) -> np.ndarray:
-    """The vector 2*dr/dzbar = (d/dRe + i d/dIm) r, interleaved layout."""
-    return grad[..., 0::2] + 1j * grad[..., 1::2]
-
-
 def unit_normal(r, a) -> np.ndarray:
     """Outward unit normal nu = grad r / |grad r| as a complex vector.
 
@@ -212,7 +206,7 @@ def unit_normal(r, a) -> np.ndarray:
     """
     X = _as_real_point(a, r.n)
     val, grad, _ = r.value_gradient_hessian(X)
-    g = complex_gradient(grad)
+    g = complex_coords(grad)  # 2*dr/dzbar
     gn = np.linalg.norm(g, axis=-1)
     if np.any(gn < 1e-8):
         raise DegenerateGradient("defining-function gradient vanishes at the point")
@@ -227,60 +221,35 @@ def unit_normal(r, a) -> np.ndarray:
 
 
 def _first_root_along_rays(r, X: np.ndarray):
-    """Smallest c > 0 with r(c*x) = 0 for each row x; bisection then Newton.
+    """Smallest c > 0 with r(c*x) = 0 for each row x; nan where there is none.
 
-    Finds the first sign change of c -> r(c*x) away from sign(r(0)).
-    Raises NoConvergence if the march never sees a sign change.
+    Split by degree, r(c*x) = sum_d h_d(x) c^d.  In s = 1/c the polynomial
+    sum_d h_d s^(D-d) has leading coefficient h_0 = r(0) != 0, so the
+    eigenvalues of its companion matrix are all its roots, and the first
+    crossing is the largest positive real s.  Two Newton steps on the same
+    table polish c.
     """
     X = np.asarray(X, dtype=float)
-    P = X.shape[0]
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
+    if np.any(np.linalg.norm(X, axis=1) == 0.0):
         raise ValueError("gauge ray through the origin is undefined")
+    deg = r.exps.sum(axis=1)
+    D = int(deg.max())
+    H = r._eval(r.coeffs[:, None] * (deg[:, None] == np.arange(D + 1)), r.exps, X)
+    if np.any(H[:, 0] == 0.0):
+        raise DomainViolation("0 lies on {r = 0}, so rays from 0 have no first crossing")
 
-    r0 = float(r.value(np.zeros(X.shape[1])))
-    sign0 = math.copysign(1.0, r0) if r0 != 0.0 else -1.0
+    companion = np.zeros((X.shape[0], D, D)) + np.eye(D, k=-1)
+    companion[:, :1, :] = -H[:, None, 1:] / H[:, :1, None]
+    s = np.linalg.eigvals(companion)
+    s = np.where((s.imag == 0.0) & (s.real > 0.0), s.real, 0.0).max(axis=1, initial=0.0)
+    c = 1.0 / np.where(s > 0.0, s, np.nan)
 
-    # multiplicative march to bracket the first crossing, one level at a time
-    # so the monomial workspace stays small
-    lo = np.zeros(P)
-    hi = np.zeros(P)
-    pending = np.ones(P, dtype=bool)
-    c_prev = np.zeros(P)
-    for level in 1e-3 * 1.2 ** np.arange(140):
-        if not pending.any():
-            break
-        c = level / norms
-        idx = np.flatnonzero(pending)
-        vals = r.value(c[idx, None] * X[idx])
-        crossed = (np.sign(vals) != sign0) | (vals == 0.0)
-        hit = idx[crossed]
-        hi[hit] = c[hit]
-        lo[hit] = c_prev[hit]
-        pending[hit] = False
-        c_prev = c
-    if pending.any():
-        raise NoConvergence("gauge march found no boundary crossing on some rays")
-
-    # bisection; 48 halvings take the bracket well below 1e-13 relative
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        v = r.value(mid[:, None] * X)
-        inside = np.sign(v) == sign0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    c = 0.5 * (lo + hi)
-
-    # Newton polish on c -> r(c*x)
-    for _ in range(4):
-        Y = c[:, None] * X
-        v, grad, _ = r.value_gradient_hessian(Y)
-        slope = np.einsum("pi,pi->p", grad, X)
-        safe = np.abs(slope) > 1e-14
-        step = np.where(safe, v / np.where(safe, slope, 1.0), 0.0)
-        c_new = c - step
-        ok = (c_new > lo * 0.5) & (c_new < hi * 2.0 + 1e-300)
-        c = np.where(safe & ok, c_new, c)
+    for _ in range(2):
+        v = slope = 0.0
+        for d in range(D, -1, -1):  # Horner for r(c*x) and its c-derivative
+            slope = slope * c + v
+            v = v * c + H[:, d]
+        c = c - v / slope
     return c
 
 
@@ -289,6 +258,8 @@ def _gauge_batch(r, X: np.ndarray) -> np.ndarray:
     if float(r.value(np.zeros(X.shape[1]))) >= 0.0:
         raise DomainViolation("0 must be an interior point for the gauge")
     c = _first_root_along_rays(r, X)
+    if np.any(np.isnan(c)):
+        raise NoConvergence("gauge found no boundary crossing on some rays")
     return 1.0 / c
 
 
@@ -356,30 +327,14 @@ class DomainSpec:
         if v >= 0.0:
             raise DomainViolation(f"declared interior point has r = {v:.3e} >= 0")
 
-    # -- gauge dispatch ------------------------------------------------------
+    # -- gauge ---------------------------------------------------------------
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self.kind == "ball":
-            return np.linalg.norm(X, axis=-1)
-        if self.kind == "ellipsoid":
-            w = self._weights()
-            return np.sqrt(np.einsum("...i,i->...", X**2, w))
         return _gauge_batch(self.defining, np.atleast_2d(X)).reshape(X.shape[:-1])
 
     def gauge_sq_derivatives(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.kind in ("ball", "ellipsoid"):
-            w = self._weights() if self.kind == "ellipsoid" else np.ones(2 * self.n)
-            mu2 = np.einsum("pi,i->p", X**2, w)
-            grad = 2.0 * X * w[None, :]
-            hess = np.broadcast_to(2.0 * np.diag(w), (X.shape[0], 2 * self.n, 2 * self.n)).copy()
-            return mu2, grad, hess
-        return _gauge_sq_derivatives_batch(self.defining, X)
-
-    def _weights(self) -> np.ndarray:
-        a = np.asarray(self.semiaxes, dtype=float)
-        return np.repeat(1.0 / a**2, 2)
+        return _gauge_sq_derivatives_batch(self.defining, np.atleast_2d(X))
 
     # -- geometry ------------------------------------------------------------
 
@@ -387,11 +342,11 @@ class DomainSpec:
         X = _as_real_point(z, self.n)
         return bool(np.all(self.defining.value(X) < -margin))
 
-    def boundary_radius_range(self, n_dirs: int = 4096, seed: int = 0):
-        """(min, max) of the boundary radius 1/mu(u) over sampled directions,
-        polished locally around both extremes."""
-        rng = np.random.default_rng(seed)
-        U = rng.standard_normal((n_dirs, 2 * self.n))
+    def boundary_radius_range(self):
+        """(min, max) of the boundary radius 1/mu(u) over 4096 sampled
+        directions, polished locally around both extremes."""
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal((4096, 2 * self.n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         radii = 1.0 / self.gauge_many(U)
 
@@ -414,7 +369,7 @@ class DomainSpec:
         r_min = polish(U[int(np.argmin(radii))], -1.0)
         return float(r_min), float(r_max)
 
-    def rescaled(self, n_dirs: int = 4096, seed: int = 0):
+    def rescaled(self):
         """Dilated copy D/sigma contained in the closed unit ball.
 
         Returns (domain, sigma, delta) where delta is the radius of the
@@ -433,7 +388,7 @@ class DomainSpec:
                 label=self.label,
             )
             return dom, sigma, float(np.min(new_axes))
-        r_min, r_max = self.boundary_radius_range(n_dirs=n_dirs, seed=seed)
+        r_min, r_max = self.boundary_radius_range()
         sigma = r_max * (1.0 + 1e-9)
         dom = DomainSpec(
             self.n,
@@ -509,9 +464,8 @@ def homotopy_domain(domain: DomainSpec, t: float):
     if t == 0.0 or domain.kind == "ball":
         return PolynomialDefiningFunction.unit_ball(domain.n)
     if domain.kind == "ellipsoid":
-        w = domain._weights() * t + (1.0 - t)
-        a_t = np.sqrt(1.0 / w[0::2])
-        return PolynomialDefiningFunction.ellipsoid(a_t)
+        w = 1.0 / np.asarray(domain.semiaxes, dtype=float) ** 2 * t + (1.0 - t)
+        return PolynomialDefiningFunction.ellipsoid(np.sqrt(1.0 / w))
     if t == 1.0:
         return domain.defining
     return GaugeInterpolant(domain, t)
@@ -526,35 +480,22 @@ def _boundary_samples(domain: DomainSpec, n_samples: int, seed: int) -> np.ndarr
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n_samples, 2 * domain.n))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    try:
-        c = _first_root_along_rays(domain.defining, U)
-    except NoConvergence:
-        # a boundary component may be unreachable in some directions (the
-        # origin need not see the whole boundary); keep the rays that cross
-        keep, cs = [], []
-        for row in U:
-            try:
-                cs.append(_first_root_along_rays(domain.defining, row[None, :])[0])
-                keep.append(row)
-            except NoConvergence:
-                continue
-        if len(keep) < max(8, n_samples // 8):
-            raise NoConvergence(
-                "too few boundary crossings reachable from the origin"
-            ) from None
-        return np.asarray(cs)[:, None] * np.asarray(keep)
-    return c[:, None] * U
+    c = _first_root_along_rays(domain.defining, U)
+    # a boundary component may be unreachable in some directions (the origin
+    # need not see the whole boundary); keep the rays that cross
+    keep = ~np.isnan(c)
+    if np.count_nonzero(keep) < max(8, n_samples // 8):
+        raise NoConvergence("too few boundary crossings reachable from the origin")
+    return c[keep, None] * U[keep]
 
 
-def verify_convexity(
-    domain: DomainSpec, n_samples: int = 2048, n_tangent: int = 64, seed: int = 0
-) -> dict:
+def verify_convexity(domain: DomainSpec, n_samples: int = 2048, seed: int = 0) -> dict:
     """Sampled strong convexity / strong linear convexity check.
 
     At each sampled boundary point the real Hessian is minimized exactly
     over the real tangent space (restricted eigenproblem), and the complex
     margin  min eig(restricted r_zzbar) - ||restricted r_zz||  is computed
-    on the complex tangent space.  n_tangent extra random directions act
+    on the complex tangent space.  64 extra random tangent directions act
     as a sampled cross-check.  Sampled, not certified.
     """
     B = _boundary_samples(domain, n_samples, seed)
@@ -588,7 +529,7 @@ def verify_convexity(
 
     # random tangent directions as a sampled upper bound on the real margin
     rng = np.random.default_rng(seed + 1)
-    V = rng.standard_normal((B.shape[0], min(n_tangent, 64), dim))
+    V = rng.standard_normal((B.shape[0], 64, dim))
     V -= np.einsum("pti,pi->pt", V, ghat)[:, :, None] * ghat[:, None, :]
     V /= np.linalg.norm(V, axis=2, keepdims=True)
     sampled = np.einsum("pti,pij,ptj->pt", V, hess, V)

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import disc as dc
-from .disc import FourierDisc
 from .domain import DomainSpec
 from .errors import DomainViolation, NewtonFailure, WindingNotOne
 from .continuation import ContinuationConfig, solve_extremal
-from .stationary import Constraint, EReport, NewtonConfig, StationaryDisc, verify_E
+from .stationary import Constraint, EReport, G_disc, NewtonConfig, StationaryDisc, verify_E
 
 
 @dataclass
@@ -46,13 +45,6 @@ class MetricsResult:
             "windings": {k: int(v) for k, v in self.windings.items()},
             "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
-
-
-def G_disc(disc: StationaryDisc, z) -> FourierDisc:
-    """G(z, .) = (z - f) . f_tilde as a holomorphic-type disc in zeta."""
-    z = np.asarray(z, dtype=complex)
-    zf = FourierDisc.constant(z, disc.f.k_max) - disc.f
-    return dc.dot_product(zf, disc.f_tilde)
 
 
 def left_inverse(disc: StationaryDisc, z) -> complex:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import disc as dc
 from .disc import FourierDisc, unit_grid
-from .domain import DomainSpec, complex_gradient, real_coords, wirtinger
+from .domain import DomainSpec, complex_coords, real_coords, wirtinger
 from .errors import (
     ContractionFailure,
     DegenerateGradient,
@@ -538,7 +538,7 @@ def _unit_normal(r, fv: np.ndarray):
     """(r o f, |grad r o f|, nu o f) at the boundary samples fv; raises
     DegenerateGradient where the gradient vanishes."""
     val, grad, _ = r.value_gradient_hessian(real_coords(fv))
-    gc = complex_gradient(grad)
+    gc = complex_coords(grad)
     gn = np.linalg.norm(gc, axis=1)
     if np.min(gn) < 1e-10:
         raise DegenerateGradient("gradient vanishes along the disc boundary")
@@ -684,6 +684,13 @@ class EReport:
     passed: bool
 
 
+def G_disc(disc: StationaryDisc, z) -> FourierDisc:
+    """G(z, .) = (z - f) . f_tilde as a holomorphic-type disc in zeta."""
+    z = np.asarray(z, dtype=complex)
+    zf = FourierDisc.constant(z, disc.f.k_max) - disc.f
+    return dc.dot_product(zf, disc.f_tilde)
+
+
 def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     """Recompute all E-mapping certificates of a disc from scratch.
 
@@ -716,9 +723,7 @@ def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     phi_vals = np.einsum("mj,mj->m", z[None, :] - fv, np.conj(nu))
     wind_phi = dc.winding_values(phi_vals)
 
-    zf = FourierDisc.constant(z, disc.f.k_max) - disc.f
-    G = dc.dot_product(zf, disc.f_tilde)
-    wind_G = dc.winding(G)
+    wind_G = dc.winding(G_disc(disc, z))
 
     holder = _holder_constant(fv, 384)
     M2 = max(4 * (disc.f.k_max + disc.f_tilde.k_max + 2), 256)

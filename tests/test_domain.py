@@ -18,7 +18,7 @@ from geodisc.domain import (
     verify_convexity,
     wirtinger,
 )
-from geodisc.errors import DegenerateGradient, DomainViolation
+from geodisc.errors import DegenerateGradient, DomainViolation, NoConvergence
 
 
 def ball(n=2):
@@ -30,6 +30,17 @@ def ellipsoid(semiaxes):
     return DomainSpec(
         len(a), "ellipsoid", PolynomialDefiningFunction.ellipsoid(a), semiaxes=a
     )
+
+
+def quartic():
+    """sum x_d^2 + 1/2 sum x_d^4 - 1 over the four real coordinates of C^2."""
+    monomials = [(-1.0, [0, 0, 0, 0])]
+    for d in range(4):
+        for power, c in ((2, 1.0), (4, 0.5)):
+            p = [0, 0, 0, 0]
+            p[d] = power
+            monomials.append((c, p))
+    return DomainSpec(2, "polynomial", PolynomialDefiningFunction.from_monomials(2, monomials))
 
 
 def test_coords_roundtrip():
@@ -154,6 +165,34 @@ def test_minkowski_interior_criterion():
     assert not d.contains(np.array([0.0, 2.1 + 0j]))
 
 
+def test_minkowski_quartic_closed_forms():
+    # the ray through a unit vector u meets the boundary at radius s with
+    # s^2 + s^4 sum(u_d^4) / 2 = 1: sum(u_d^4) is 1 on an axis, 1/4 on a diagonal
+    d = quartic()
+    rho_in = np.sqrt(np.sqrt(3.0) - 1.0)
+    rho_out = 2.0 * np.sqrt(np.sqrt(1.5) - 1.0)
+    for axis in ([1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]):
+        assert minkowski(d, np.array(axis)) == pytest.approx(1.0 / rho_in, abs=1e-14)
+    diagonal = 0.5 * np.array([1.0 + 1j, 1.0 + 1j])
+    assert minkowski(d, diagonal) == pytest.approx(1.0 / rho_out, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "monomials",
+    [
+        # a cylinder along the fourth real axis
+        [(1.0, [2, 0, 0, 0]), (1.0, [0, 2, 0, 0]), (1.0, [0, 0, 2, 0]), (-1.0, [0, 0, 0, 0])],
+        # a constant: degree 0, no root on any ray
+        [(-1.0, [0, 0, 0, 0])],
+    ],
+    ids=["cylinder", "constant"],
+)
+def test_minkowski_raises_on_a_ray_without_crossing(monomials):
+    d = DomainSpec(2, "polynomial", PolynomialDefiningFunction.from_monomials(2, monomials))
+    with pytest.raises(NoConvergence):
+        minkowski(d, np.array([0.0, 1j]))
+
+
 def test_homotopy_endpoints():
     d = ellipsoid([0.8, 0.6])  # already inside the unit ball
     r0 = homotopy_domain(d, 0.0)
@@ -190,18 +229,25 @@ def test_homotopy_interpolation_property():
         assert abs(rt.value(x)[0] - (t * mu_d + (1 - t) * mu_b - 1.0)) < 1e-12
 
 
-def test_gauge_euler_identity():
-    # <grad mu^2(x), x>_R = 2 mu^2(x) near the boundary
-    d = ellipsoid([1.0, 1.3])
-    rt = homotopy_domain(d, 0.7)
+@pytest.mark.parametrize(
+    "make_domain",
+    [lambda: ellipsoid([1.0, 1.3]), lambda: quartic().rescaled()[0]],
+    ids=["ellipsoid", "quartic"],
+)
+def test_gauge_euler_identity(make_domain):
+    # <grad mu^2(x), x>_R = 2 mu^2(x) near the boundary.  The ellipsoid's
+    # family is an exact quadric; the quartic's runs through the gauge
+    rt = homotopy_domain(make_domain(), 0.7)
     rng = np.random.default_rng(9)
     for _ in range(5):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         z = z / np.linalg.norm(z) * rng.uniform(0.7, 0.95)
         x = real_coords(z)[None, :]
-        v, g, _ = rt.value_gradient_hessian(x)
+        v, g, h = rt.value_gradient_hessian(x)
         mu2 = v[0] + 1.0
         assert abs(float(g[0] @ x[0]) - 2.0 * mu2) < 1e-8
+        # the gradient is homogeneous of degree 1: Hess(x) x = grad(x)
+        assert np.max(np.abs(h[0] @ x[0] - g[0])) < 1e-12
 
 
 def test_verify_convexity_ball_and_ellipsoid():
@@ -225,6 +271,18 @@ def test_verify_convexity_flags_nonconvex():
     d = DomainSpec(2, "polynomial", r, z0=np.array([1.0, 0.0, 0.0, 0.0]))
     rep = verify_convexity(d, n_samples=512)
     assert not rep["strongly_convex"]
+
+
+def test_verify_convexity_rejects_origin_on_boundary():
+    # |x - e_1|^2 - 1 has no constant term: the ray sampler starts on {r = 0}
+    r = PolynomialDefiningFunction.from_monomials(
+        2,
+        [(1.0, [2, 0, 0, 0]), (-2.0, [1, 0, 0, 0]), (1.0, [0, 2, 0, 0]),
+         (1.0, [0, 0, 2, 0]), (1.0, [0, 0, 0, 2])],
+    )
+    d = DomainSpec(2, "polynomial", r, z0=np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(DomainViolation):
+        verify_convexity(d, n_samples=256)
 
 
 def test_rescaled_ball_is_identity():

@@ -38,6 +38,23 @@ def ball_formula(z, w):
     return float(np.arctanh(np.sqrt(1.0 - num / den)))
 
 
+def ball_kappa(z, v):
+    """Closed-form Kobayashi-Royden metric of the unit ball."""
+    d = 1.0 - np.linalg.norm(z) ** 2
+    return float(np.sqrt(np.linalg.norm(v) ** 2 / d + abs(complex(np.vdot(z, v))) ** 2 / d**2))
+
+
+def quartic_domain():
+    """sum x_d^2 + 1/2 sum x_d^4 - 1 over the four real coordinates of C^2."""
+    monomials = [(-1.0, [0, 0, 0, 0])]
+    for d in range(4):
+        for power, c in ((2, 1.0), (4, 0.5)):
+            p = [0, 0, 0, 0]
+            p[d] = power
+            monomials.append((c, p))
+    return DomainSpec(2, "polynomial", PolynomialDefiningFunction.from_monomials(2, monomials))
+
+
 def axis_disc(N=9):
     fc = np.zeros((2, 2), dtype=complex)
     fc[1, 0] = 1.0
@@ -252,3 +269,39 @@ def test_metrics_result_serializes():
     assert d["kind"] == "kobayashi"
     assert isinstance(d["windings"]["G"], int)
     assert isinstance(d["residuals"]["blended"], float)
+
+
+# ---------------------------------------------------------------------------
+# a polynomial domain
+# ---------------------------------------------------------------------------
+
+
+# the quartic holds the ball of radius RHO_IN (reached on the axes) and lies
+# in the ball of radius RHO_OUT (reached on the diagonals)
+QUARTIC_RHO_IN = np.sqrt(np.sqrt(3.0) - 1.0)
+QUARTIC_RHO_OUT = 2.0 * np.sqrt(np.sqrt(1.5) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "solve, ball_value, z, y",
+    [
+        (lempert_distance, ball_formula,
+         (0.053 + 0.222j, -0.262 + 0.247j), (-0.22 - 0.221j, -0.298 - 0.061j)),
+        (kobayashi_royden, ball_kappa,
+         (-0.234 - 0.201j, -0.218 - 0.104j), (0.107 + 0.276j, 0.491 + 0.203j)),
+    ],
+    ids=["pair", "direction"],
+)
+def test_quartic_solve_is_certified_symmetric_and_sandwiched(solve, ball_value, z, y):
+    D = quartic_domain()
+    z, y = np.array(z), np.array(y)
+    res, _ = solve(D, z, y)
+    # the quartic is invariant under the coordinate swap (z1, z2) -> (z2, z1)
+    swapped, _ = solve(D, z[::-1], y[::-1])
+    for r in (res, swapped):
+        assert r.certificate_gap < 1e-7
+        assert r.report.passed
+    assert abs(res.value - swapped.value) < 1e-8
+    lo = ball_value(z / QUARTIC_RHO_OUT, y / QUARTIC_RHO_OUT)
+    hi = ball_value(z / QUARTIC_RHO_IN, y / QUARTIC_RHO_IN)
+    assert lo <= res.value <= hi

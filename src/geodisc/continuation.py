@@ -298,8 +298,12 @@ def solve_extremal(
     # Truncation error in the Fourier band scales like N|z|^N, so base
     # points close to the boundary can miss the pairing contract of the
     # seed or of the normalization at the default band.  Retry with a
-    # doubled band, twice, before giving up.
+    # doubled band, twice, before giving up.  A band whose converged disc
+    # fails the pairing test seeds the next band's Newton solve with that
+    # disc, zero-padded; only if that solve fails does the band restart
+    # from the ball.
     disc_s = None
+    kept = None
     for attempt in range(3):
         nwt = NewtonConfig(
             N=newton.N * 2**attempt,
@@ -307,26 +311,35 @@ def solve_extremal(
             max_iter=newton.max_iter,
             max_halvings=newton.max_halvings,
         )
-        try:
-            seed = ball_seed(z_s, con_s, N=nwt.N)
-        except NonConstantPairing:
-            if attempt == 2:
-                raise
-            continue
-        path = continue_path(HomotopyProblem(family, seed, 0.0), config, nwt)
-        if path.status != "ok":
-            if attempt == 2:
-                raise StepUnderflow(
-                    f"continuation stalled at t = {path.t_reached:.6f}",
-                    path=path,
-                )
-            continue
+        path = None
+        if kept is not None:
+            try:
+                refined = newton_solve(family(1.0)[0], con_s, kept, nwt)
+                path = PathResult("ok", refined, 1.0, [_trace_row(1.0, 0.0, refined)])
+            except (NoConvergence, LeftDomain, NonConstantPairing):
+                pass
+        if path is None:
+            try:
+                seed = ball_seed(z_s, con_s, N=nwt.N)
+            except NonConstantPairing:
+                if attempt == 2:
+                    raise
+                continue
+            path = continue_path(HomotopyProblem(family, seed, 0.0), config, nwt)
+            if path.status != "ok":
+                if attempt == 2:
+                    raise StepUnderflow(
+                        f"continuation stalled at t = {path.t_reached:.6f}",
+                        path=path,
+                    )
+                continue
         try:
             disc_s = normalize(path.disc)
             break
         except NonConstantPairing:
             if attempt == 2:
                 raise
+            kept = path.disc
     f = disc_s.f * sigma
     f_tilde = disc_s.f_tilde * (1.0 / sigma)
     rho = disc_s.rho * (1.0 / sigma)

@@ -241,6 +241,12 @@ def residual(r, constraint: Constraint, f: FourierDisc, q: FourierDisc) -> Resid
 # ---------------------------------------------------------------------------
 
 
+def _split(dst: np.ndarray, c: np.ndarray) -> None:
+    """Write complex c into the (..., 2) real view dst as (re, im) pairs."""
+    dst[..., 0] = c.real
+    dst[..., 1] = c.imag
+
+
 class _Layout:
     """Index bookkeeping between packed real vectors and (f, q, mult)."""
 
@@ -254,16 +260,10 @@ class _Layout:
 
     def pack(self, f: FourierDisc, q: FourierDisc, mult: float) -> np.ndarray:
         x = np.zeros(self.size)
-        for k in range(1, self.Nf + 1):
-            a = f.coefficient(k)
-            base = (k - 1) * self.n * 2
-            x[base : base + 2 * self.n : 2] = a.real
-            x[base + 1 : base + 2 * self.n : 2] = a.imag
-        x[self.n_f] = q.coefficient(0).real
-        for k in range(1, self.N + 1):
-            c = q.coefficient(k)
-            x[self.n_f + 1 + 2 * (k - 1)] = c.real
-            x[self.n_f + 2 + 2 * (k - 1)] = c.imag
+        _split(x[: self.n_f].reshape(self.Nf, self.n, 2), f.band(1, self.Nf).coeffs)
+        qk = q.band(0, self.N).coeffs
+        x[self.n_f] = qk[0].real
+        _split(x[self.n_f + 1 : -1].reshape(self.N, 2), qk[1:])
         x[-1] = mult
         return x
 
@@ -275,32 +275,25 @@ class _Layout:
         f = FourierDisc(fc, 0)
         qc = np.zeros(2 * self.N + 1, dtype=complex)
         qc[self.N] = x[self.n_f]
-        for k in range(1, self.N + 1):
-            c = x[self.n_f + 1 + 2 * (k - 1)] + 1j * x[self.n_f + 2 + 2 * (k - 1)]
-            qc[self.N + k] = c
-            qc[self.N - k] = np.conj(c)
+        pos = x[self.n_f + 1 : -1].reshape(self.N, 2)
+        c = pos[:, 0] + 1j * pos[:, 1]
+        qc[self.N + 1 :] = c
+        qc[: self.N] = np.conj(c[::-1])
         q = FourierDisc(qc, -self.N)
         return f, q, float(x[-1])
 
     def residual_vector(self, parts: ResidualParts) -> np.ndarray:
         n, N = self.n, self.N
         v = np.zeros(self.size)
-        v[0] = parts.c1.coefficient(0).real
-        for k in range(1, N + 1):
-            c = parts.c1.coefficient(k)
-            v[1 + 2 * (k - 1)] = c.real
-            v[2 + 2 * (k - 1)] = c.imag
+        c1 = parts.c1.band(0, N).coeffs
+        v[0] = c1[0].real
+        _split(v[1 : 2 * N + 1].reshape(N, 2), c1[1:])
+        # c2 rows run over (j, k) with frequency -k, k = 1..N
         base = 2 * N + 1
-        for j in range(n):
-            for k in range(1, N + 1):
-                c = parts.c2.coefficient(-k)[j]
-                row = base + (j * N + (k - 1)) * 2
-                v[row] = c.real
-                v[row + 1] = c.imag
-        base = 2 * N + 1 + 2 * n * N
-        for j in range(n):
-            v[base + 2 * j] = parts.c3[j].real
-            v[base + 2 * j + 1] = parts.c3[j].imag
+        c2 = parts.c2.band(-N, -1).coeffs[::-1]  # (N, n), row k - 1
+        _split(v[base : base + 2 * n * N].reshape(n, N, 2), c2.T)
+        base += 2 * n * N
+        _split(v[base : base + 2 * n].reshape(n, 2), parts.c3)
         v[-1] = parts.q1
         return v
 

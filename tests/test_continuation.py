@@ -251,3 +251,48 @@ def test_seed_failure_raises_after_the_last_band(monkeypatch):
         solve_extremal(ellipsoid_domain([1.0, 2.0]), np.array([0.0, 1.9]),
                        Constraint("two-point", np.array([0.3, 0.0])))
     assert bands == [64, 128, 256]
+
+
+def record_newton_iters(monkeypatch):
+    iters = []
+    real = continuation.newton_solve
+
+    def solve(r, constraint, seed, config=None):
+        d = real(r, constraint, seed, config)
+        iters.append((config.N, d.diagnostics["newton_iters"]))
+        return d
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    return iters
+
+
+def test_rejected_band_seeds_the_next_band(monkeypatch):
+    # bands 64 and 128 converge but miss the pairing test at |z| = 0.85;
+    # each refines the next band's Newton solve instead of a new march
+    bands = record_seed_bands(monkeypatch)
+    iters = record_newton_iters(monkeypatch)
+    z, w = np.array([0.85, 0.0]), np.array([-0.3, 0.0])
+    res, d = lempert_distance(ellipsoid_domain([1.0, 2.0]), z, w)
+    assert bands == [64]
+    assert d.f.k_max == 256 + 1
+    assert sum(k for N, k in iters if N in (128, 256)) <= 4
+    assert d.diagnostics["trace"][-1]["step"] == 0.0
+    assert res.value == pytest.approx(np.arctanh(1.15 / 1.255), abs=1e-10)
+    assert res.certificate_gap < 1e-7
+
+
+def test_failed_refinement_falls_back_to_the_ball(monkeypatch):
+    bands = record_seed_bands(monkeypatch)
+    real = continuation.newton_solve
+
+    def refuse_padded(r, constraint, seed, config=None):
+        if seed.q.k_max < config.N:
+            raise NoConvergence("forced failure of the refining solve")
+        return real(r, constraint, seed, config)
+
+    monkeypatch.setattr(continuation, "newton_solve", refuse_padded)
+    z, w = np.array([0.8, 0.0]), np.array([-0.3, 0.0])
+    res, d = lempert_distance(ellipsoid_domain([1.0, 2.0]), z, w)
+    assert bands == [64, 128]
+    assert d.f.k_max == 128 + 1
+    assert res.value == pytest.approx(np.arctanh(1.1 / 1.24), abs=1e-10)

@@ -305,3 +305,21 @@ def test_quartic_solve_is_certified_symmetric_and_sandwiched(solve, ball_value, 
     lo = ball_value(z / QUARTIC_RHO_OUT, y / QUARTIC_RHO_OUT)
     hi = ball_value(z / QUARTIC_RHO_IN, y / QUARTIC_RHO_IN)
     assert lo <= res.value <= hi
+
+
+def test_quartic_pair_certified_after_band_refinement():
+    # this pair misses the pairing test at band 256 when every band restarts
+    # from the ball (deviation 1.8e-8); refined from band 128 it passes
+    D = quartic_domain()
+    z = np.array([0.07 + 0.06j, -0.521 - 0.057j])
+    w = np.array([0.061 - 0.225j, 0.297 + 0.394j])
+    res, d = lempert_distance(D, z, w)
+    swapped, _ = lempert_distance(D, z[::-1], w[::-1])
+    for r in (res, swapped):
+        assert r.certificate_gap < 1e-7
+        assert r.report.passed
+    assert d.f.k_max == 256 + 1
+    assert abs(res.value - swapped.value) < 1e-10
+    lo = ball_formula(z / QUARTIC_RHO_OUT, w / QUARTIC_RHO_OUT)
+    hi = ball_formula(z / QUARTIC_RHO_IN, w / QUARTIC_RHO_IN)
+    assert lo <= res.value <= hi

@@ -183,6 +183,23 @@ def test_jacobian_matches_finite_differences():
     assert float(np.max(np.abs(J - J_fd))) < 1e-6
 
 
+def test_layout_round_trips_a_disc():
+    from geodisc.stationary import _Layout
+
+    rng = np.random.default_rng(5)
+    n, N = 2, 64
+    layout = _Layout(n, N)
+    fc = rng.standard_normal((layout.Nf + 1, n)) + 1j * rng.standard_normal((layout.Nf + 1, n))
+    f = FourierDisc(fc, 0)
+    q = real_band_field(rng, N)
+    x = layout.pack(f, q, 0.625)
+    assert x.shape == (layout.size,)
+    f2, q2, mult = layout.unpack(x, fc[0])
+    assert np.array_equal(f2.coeffs, fc) and f2.k_min == 0
+    assert np.array_equal(q2.coeffs, q.coeffs) and q2.k_min == -N
+    assert mult == 0.625
+
+
 def test_newton_accepts_exact_seed_without_stepping():
     r = axis_ball_defining(2)
     w = np.array([0.25, 0.0], dtype=complex)

@@ -302,109 +302,70 @@ def _jacobian(layout: _Layout, d: dict, constraint: Constraint, f: FourierDisc, 
     """Dense analytic Jacobian of the collocated residual.
 
     Columns follow _Layout.pack, rows follow _Layout.residual_vector.
-    All derivative blocks are assembled from FFTs of products of grid
-    tensors; see the expressions in the inline comments.
+    Multiplying a grid field by zeta^k shifts its spectrum by k, so every
+    block is an index gather (mod M) from the spectrum of one grid field;
+    see the expressions in the inline comments.
     """
     n, N, Nf = layout.n, layout.N, layout.Nf
-    M, Z = d["M"], d["Z"]
-    r_z, r_zz, r_zzbar = d["r_z"], d["r_zz"], d["r_zzbar"]
-    qv = d["qv"]
+    M, nf = d["M"], layout.n_f
+    base2, base3 = 2 * N + 1, 2 * N + 1 + 2 * n * N
+    k = np.arange(1, Nf + 1)  # f columns carry zeta^k
+    p = np.arange(N + 1)  # c1 rows carry frequency p
+    kr = np.arange(1, N + 1)  # c2 rows carry frequency -kr, q columns zeta^kr
     J = np.zeros((layout.size, layout.size))
-
-    ZK = Z[None, :] ** np.arange(1, Nf + 1)[:, None]  # (Nf, M)
-    idx_pos = np.arange(0, N + 1)
-    idx_neg = (-np.arange(0, N + 1)) % M
-    idx_c2 = (-np.arange(1, N + 1)) % M
+    R = np.fft.fft(d["r_z"], axis=0) / M  # (M, n)
 
     # --- c1 rows, f columns: d(r o f) = 2 Re[(r_z o f) . df] -------------
-    # T1[j, k, :] = r_z[:, j] * zeta^k; spectrum U1
-    T1 = r_z.T[:, None, :] * ZK[None, :, :]  # (n, Nf, M)
-    U1 = np.fft.fft(T1, axis=-1) / M
-    A = U1[..., idx_pos]
-    B = np.conj(U1[..., idx_neg])
-    col_re = A + B  # coefficients of the real field, k = 0..N
-    col_im = 1j * (A - B)
-
-    def put_c1(block, j, k, part):
-        col = 2 * ((k - 1) * n + j) + part
-        J[0, col] = block[j, k - 1, 0].real
-        J[1 : 2 * N + 1 : 2, col] = block[j, k - 1, 1:].real
-        J[2 : 2 * N + 1 : 2, col] = block[j, k - 1, 1:].imag
-
-    for j in range(n):
-        for k in range(1, Nf + 1):
-            put_c1(col_re, j, k, 0)
-            put_c1(col_im, j, k, 1)
+    # r_z zeta^k has coefficient R[p - k] at frequency p
+    A = R[(p[:, None] - k) % M]  # (p, k, j)
+    B = np.conj(R[(-p[:, None] - k) % M])
+    C = np.stack([A + B, 1j * (A - B)], axis=-1)  # (p, k, j, re/im column)
+    c1 = J[:base2, :nf].reshape(base2, Nf, n, 2)
+    c1[0] = C[0].real
+    c1[1::2] = C[1:].real
+    c1[2::2] = C[1:].imag
 
     # --- c2 rows, f columns ------------------------------------------------
     # field_l = zeta(1+q) [ (r_zz)_{lj} c zeta^k + (r_zzbar)_{lj} conj(c zeta^k) ]
-    P0 = Z * (1.0 + qv)  # (M,)
-    A1 = np.moveaxis(P0[:, None, None] * r_zz, 0, -1)  # (n, n, M), [l, j, :]
-    A2 = np.moveaxis(P0[:, None, None] * r_zzbar, 0, -1)
-    S1 = np.fft.fft(A1[:, :, None, :] * ZK[None, None, :, :], axis=-1) / M
-    S2 = np.fft.fft(A2[:, :, None, :] * np.conj(ZK)[None, None, :, :], axis=-1) / M
-    C_re = (S1 + S2)[..., idx_c2]  # (l, j, k, row-freq -1..-N)
-    C_im = (1j * (S1 - S2))[..., idx_c2]
-
-    base2 = 2 * N + 1
-    for l in range(n):
-        rows = base2 + (l * N + np.arange(N)) * 2
-        for j in range(n):
-            for k in range(1, Nf + 1):
-                col = 2 * ((k - 1) * n + j)
-                J[rows, col] = C_re[l, j, k - 1].real
-                J[rows + 1, col] = C_re[l, j, k - 1].imag
-                J[rows, col + 1] = C_im[l, j, k - 1].real
-                J[rows + 1, col + 1] = C_im[l, j, k - 1].imag
+    # with spectra S1, S2 of zeta(1+q) r_zz, zeta(1+q) r_zzbar: S1[-kr - k], S2[-kr + k]
+    P0 = (d["Z"] * (1.0 + d["qv"]))[:, None, None]
+    S1 = np.fft.fft(P0 * d["r_zz"], axis=0) / M  # (M, l, j)
+    S2 = np.fft.fft(P0 * d["r_zzbar"], axis=0) / M
+    A = S1[(-kr[:, None] - k) % M]  # (kr, k, l, j)
+    B = S2[(-kr[:, None] + k) % M]
+    C = np.stack([A + B, 1j * (A - B)], axis=-1).transpose(2, 0, 1, 3, 4)
+    c2 = J[base2:base3, :nf].reshape(n, N, 2, Nf, n, 2)
+    c2[:, :, 0] = C.real
+    c2[:, :, 1] = C.imag
 
     # --- c2 rows, q columns ------------------------------------------------
     # d field = zeta * dq * (r_z o f); dq basis: 1, zeta^k + zeta^-k,
-    # i zeta^k - i zeta^-k
-    T2 = np.moveaxis(Z[:, None] * r_z, 0, -1)  # (n, M)
-    ZK0 = Z[None, :] ** np.arange(0, N + 1)[:, None]  # (N+1, M)
-    U2p = np.fft.fft(T2[:, None, :] * ZK0[None, :, :], axis=-1) / M  # (n, N+1, M)
-    U2m = np.fft.fft(T2[:, None, :] * np.conj(ZK0)[None, :, :], axis=-1) / M
-    q0_col = layout.n_f
-    for l in range(n):
-        rows = base2 + (l * N + np.arange(N)) * 2
-        s0 = U2p[l, 0][idx_c2]
-        J[rows, q0_col] = s0.real
-        J[rows + 1, q0_col] = s0.imag
-        for k in range(1, N + 1):
-            cu = (U2p[l, k] + U2m[l, k])[idx_c2]
-            cv = (1j * (U2p[l, k] - U2m[l, k]))[idx_c2]
-            J[rows, q0_col + 1 + 2 * (k - 1)] = cu.real
-            J[rows + 1, q0_col + 1 + 2 * (k - 1)] = cu.imag
-            J[rows, q0_col + 2 + 2 * (k - 1)] = cv.real
-            J[rows + 1, q0_col + 2 + 2 * (k - 1)] = cv.imag
+    # i zeta^k - i zeta^-k; zeta r_z has coefficient R[m - 1] at frequency m
+    A = np.moveaxis(R[(-kr[:, None] - kr - 1) % M], -1, 0)  # (l, row kr, column k)
+    B = np.moveaxis(R[(-kr[:, None] + kr - 1) % M], -1, 0)
+    C = np.empty((n, N, 2 * N + 1), dtype=complex)
+    C[..., 0] = R[(-kr - 1) % M].T
+    C[..., 1::2] = A + B
+    C[..., 2::2] = 1j * (A - B)
+    cq = J[base2:base3, nf : nf + 2 * N + 1].reshape(n, N, 2, 2 * N + 1)
+    cq[:, :, 0] = C.real
+    cq[:, :, 1] = C.imag
 
-    # --- c3 rows -----------------------------------------------------------
-    base3 = 2 * N + 1 + 2 * n * N
+    # --- c3 rows: d f(xi) = sum_k xi^k df_k + f'(xi) dxi, or ------------
+    # d [f'(0) - lambda v] = df_1 - v dlambda
     if constraint.mode == "direction":
-        v = constraint.vector
-        for j in range(n):
-            col = 2 * ((1 - 1) * n + j)  # k = 1
-            J[base3 + 2 * j, col] = 1.0
-            J[base3 + 2 * j + 1, col + 1] = 1.0
-            J[base3 + 2 * j, -1] = -v[j].real
-            J[base3 + 2 * j + 1, -1] = -v[j].imag
+        w = (k == 1).astype(float)
+        dmult = -constraint.vector
     else:
-        xi = mult
-        xik = xi ** np.arange(1, Nf + 1)
-        for j in range(n):
-            for k in range(1, Nf + 1):
-                col = 2 * ((k - 1) * n + j)
-                J[base3 + 2 * j, col] = xik[k - 1]
-                J[base3 + 2 * j + 1, col + 1] = xik[k - 1]
-        fp = dc.differentiate(f).band(0, max(f.k_max - 1, 0))(complex(xi))
-        for j in range(n):
-            J[base3 + 2 * j, -1] = fp[j].real
-            J[base3 + 2 * j + 1, -1] = fp[j].imag
+        w = mult**k
+        dmult = dc.differentiate(f).band(0, max(f.k_max - 1, 0))(complex(mult))
+    jj, part = np.arange(n)[:, None], np.arange(2)[None, :]
+    J[base3 : base3 + 2 * n, :nf].reshape(n, 2, Nf, n, 2)[jj, part, :, jj, part] = w
+    _split(J[base3 : base3 + 2 * n, -1].reshape(n, 2), dmult)
 
     # --- q(1) row -----------------------------------------------------------
-    J[-1, q0_col] = 1.0
-    for k in range(1, N + 1):
-        J[-1, q0_col + 1 + 2 * (k - 1)] = 2.0
+    J[-1, nf] = 1.0
+    J[-1, nf + 1 : nf + 2 * N + 1 : 2] = 2.0
     return J
 
 

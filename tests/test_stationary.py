@@ -139,26 +139,39 @@ def test_gauge_perturbation_moves_only_the_dual_residual():
 # ---------------------------------------------------------------------------
 
 
-def test_jacobian_matches_finite_differences():
+def quartic_defining():
+    """sum x_d^2 + 1/2 sum x_d^4 - 1 over the four real coordinates of C^2."""
+    monomials = [(-1.0, [0, 0, 0, 0])]
+    for d in range(4):
+        for power, c in ((2, 1.0), (4, 0.5)):
+            p = [0, 0, 0, 0]
+            p[d] = power
+            monomials.append((c, p))
+    return PolynomialDefiningFunction.from_monomials(2, monomials)
+
+
+def newton_system(r, n, N, mode, taper=0):
+    """The collocated residual map F, the point x0 and the analytic Jacobian
+    at x0, for a random disc near the axis disc.  Coefficient k of the
+    random tails of f and q is divided by k**taper."""
     from geodisc.stationary import _field_data, _grid_size, _jacobian, _Layout, _parts_from_grid
 
     rng = np.random.default_rng(11)
-    r = PolynomialDefiningFunction.ellipsoid((1.0, 1.2))
-    n, N = 2, 6
     layout = _Layout(n, N)
-    z0 = np.array([0.05, -0.02j])
+    z0 = np.array([0.05, -0.02j, 0.03][:n])
 
     fc = np.zeros((layout.Nf + 1, n), dtype=complex)
     fc[0] = z0
-    fc[1] = np.array([0.9, 0.1j])
+    fc[1] = np.array([0.9, 0.1j, -0.05][:n])
     fc[2:] = 0.01 * (
         rng.standard_normal((layout.Nf - 1, n))
         + 1j * rng.standard_normal((layout.Nf - 1, n))
-    )
+    ) / np.arange(2, layout.Nf + 1)[:, None] ** taper
     f = FourierDisc(fc, 0)
     q = 0.05 * real_band_field(rng, N)
+    q = FourierDisc(q.coeffs / np.maximum(np.abs(np.arange(-N, N + 1)), 1) ** taper, -N)
     mult = 0.8
-    con = Constraint("direction", np.array([1.0, 0.2j]), mult)
+    con = Constraint(mode, np.array([1.0, 0.2j, -0.1][:n]), mult)
 
     M = _grid_size(r, N)
 
@@ -173,14 +186,48 @@ def test_jacobian_matches_finite_differences():
     con.multiplier = mult
     J = _jacobian(layout, d0, con, f, mult)
     assert J.shape == (layout.size, layout.size)
+    return F, x0, J
 
+
+JACOBIAN_DOMAINS = {
+    "E(1,1.2)": (lambda: PolynomialDefiningFunction.ellipsoid((1.0, 1.2)), 2),
+    "quartic": (quartic_defining, 2),
+    "E(1,1.2,1.5)": (lambda: PolynomialDefiningFunction.ellipsoid((1.0, 1.2, 1.5)), 3),
+}
+
+
+@pytest.mark.parametrize("mode", ["direction", "two-point"])
+@pytest.mark.parametrize("domain", list(JACOBIAN_DOMAINS))
+def test_jacobian_matches_finite_differences(domain, mode):
+    # every column, including the two-point c3 rows (xi^k) and the
+    # multiplier column (-v or f'(xi))
+    make_r, n = JACOBIAN_DOMAINS[domain]
+    F, x0, J = newton_system(make_r(), n, 6, mode)
     h = 1e-6
     J_fd = np.zeros_like(J)
-    for i in range(layout.size):
-        e = np.zeros(layout.size)
+    for i in range(x0.size):
+        e = np.zeros(x0.size)
         e[i] = h
         J_fd[:, i] = (F(x0 + e) - F(x0 - e)) / (2 * h)
     assert float(np.max(np.abs(J - J_fd))) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["direction", "two-point"])
+def test_jacobian_matches_directional_differences_at_band_64(mode):
+    # E(1,2) at N = 64 collocates on M = 512 points, the grid the solver
+    # uses, so the spectral index gathers wrap around mod M
+    from geodisc.stationary import _grid_size
+
+    r = PolynomialDefiningFunction.ellipsoid((1.0, 2.0))
+    assert _grid_size(r, 64) == 512
+    F, x0, J = newton_system(r, 2, 64, mode, taper=2)
+    rng = np.random.default_rng(64)
+    h = 1e-6
+    for _ in range(4):
+        e = rng.standard_normal(x0.size)
+        e /= np.linalg.norm(e)
+        fd = (F(x0 + h * e) - F(x0 - h * e)) / (2 * h)
+        assert float(np.max(np.abs(J @ e - fd))) < 1e-7
 
 
 def test_layout_round_trips_a_disc():

@@ -10,7 +10,7 @@ every t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -202,17 +202,7 @@ def continue_path(
     except (LeftDomain, NoConvergence):
         rn = np.inf
     if rn < config.tol_res:
-        accepted = StationaryDisc(
-            f=disc.f,
-            f_tilde=disc.f_tilde,
-            rho=disc.rho,
-            q=disc.q,
-            multiplier=disc.multiplier,
-            mode=disc.mode,
-            constraint_vector=disc.constraint_vector,
-            residual_norm=rn,
-            diagnostics=dict(disc.diagnostics),
-        )
+        accepted = replace(disc, residual_norm=rn, diagnostics=dict(disc.diagnostics))
         trace.append(_trace_row(1.0, 1.0 - t, accepted))
         return PathResult("ok", accepted, 1.0, trace)
 
@@ -221,9 +211,7 @@ def continue_path(
     # attempt gets a reduced iteration budget so a hopeless direct solve
     # cannot eat the time the march needs.
     if np.isfinite(rn):
-        direct = NewtonConfig(
-            N=newton.N, tol_res=newton.tol_res, max_iter=12, max_halvings=3
-        )
+        direct = replace(newton, max_iter=12, max_halvings=3)
         try:
             cand = newton_solve(r1, con1, disc, direct)
             trace.append(_trace_row(1.0, 1.0 - t, cand))
@@ -305,12 +293,7 @@ def solve_extremal(
     disc_s = None
     kept = None
     for attempt in range(3):
-        nwt = NewtonConfig(
-            N=newton.N * 2**attempt,
-            tol_res=newton.tol_res,
-            max_iter=newton.max_iter,
-            max_halvings=newton.max_halvings,
-        )
+        nwt = replace(newton, N=newton.N * 2**attempt)
         path = None
         if kept is not None:
             try:
@@ -345,18 +328,11 @@ def solve_extremal(
     rho = disc_s.rho * (1.0 / sigma)
     con_final = Constraint(constraint.mode, constraint.vector, disc_s.multiplier)
     rn = residual(domain.defining, con_final, f, disc_s.q).blended_norm()
-    out = StationaryDisc(
-        f=f,
-        f_tilde=f_tilde,
-        rho=rho,
-        q=disc_s.q,
-        multiplier=disc_s.multiplier,
-        mode=constraint.mode,
+    return replace(
+        disc_s, f=f, f_tilde=f_tilde, rho=rho,
         constraint_vector=np.asarray(constraint.vector, dtype=complex),
         residual_norm=rn,
-        diagnostics=dict(disc_s.diagnostics),
+        diagnostics=dict(
+            disc_s.diagnostics, trace=path.trace, sigma=float(sigma), t_reached=path.t_reached
+        ),
     )
-    out.diagnostics["trace"] = path.trace
-    out.diagnostics["sigma"] = float(sigma)
-    out.diagnostics["t_reached"] = path.t_reached
-    return out

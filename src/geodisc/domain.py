@@ -5,10 +5,13 @@ real coordinates x = (Re z1, Im z1, ..., Re zn, Im zn) with D = {r < 0}.
 This module provides exact polynomial calculus (values, gradients, Hessians,
 Wirtinger derivatives), the Minkowski gauge with derivatives via the
 implicit function theorem, sampled convexity verification, and the homotopy
-family joining a domain to the unit ball.  For every kind of domain the
-gauge mu(x) is the largest positive root of one polynomial per ray: with
-r(c*x) = sum_d h_d(x) c^d split by degree, mu(x) = 1/c is the largest
-positive root s of sum_d h_d(x) s^(D-d).
+family joining a domain to the unit ball.  One table of coordinate powers
+serves the value, the gradient, the Hessian and the gauge's degree split;
+the coefficient and exponent tables of the derivatives are built eagerly,
+once per polynomial.  For every kind of domain the gauge mu(x) is the
+largest positive root of one polynomial per ray: with r(c*x) =
+sum_d h_d(x) c^d split by degree, mu(x) = 1/c is the largest positive
+root s of sum_d h_d(x) s^(D-d).
 """
 
 from __future__ import annotations
@@ -63,8 +66,27 @@ def _as_real_point(point, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _monomials(X: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """prod_d X[j, d]^exps[..., i, d] at the points X (points, 2n), as a
+    C-contiguous (..., points, m) array gathered from one table X[j, d]^k.
+
+    The product runs coordinate by coordinate, in the order np.prod takes.
+    """
+    # exponents along the last axis: a broadcast scalar exponent would take
+    # numpy's x*x fast path for x**2, whose bits differ from pow's
+    powers = X[..., None] ** np.arange(exps.max(initial=0) + 1)
+    mono = powers[:, 0, exps[..., 0]]
+    for d in range(1, X.shape[1]):
+        mono *= powers[:, d, exps[..., d]]
+    return np.ascontiguousarray(np.moveaxis(mono, 0, -2))
+
+
 class PolynomialDefiningFunction:
-    """r(x) = sum_i c_i * prod_d x_d^{p_id} over the 2n real coordinates."""
+    """r(x) = sum_i c_i * prod_d x_d^{p_id} over the 2n real coordinates.
+
+    value, value_gradient_hessian and the gauge read one power table
+    (_monomials); the derivatives' tables are built once, in __init__.
+    """
 
     def __init__(self, n: int, coeffs, exps):
         self.n = int(n)
@@ -74,8 +96,19 @@ class PolynomialDefiningFunction:
             raise ValueError("exponent table must be (m, 2n)")
         if np.any(self.exps < 0):
             raise ValueError("negative exponents are not allowed")
-        self._grad_polys = None
-        self._hess_polys = None
+        # r, then d_a r, then d_b d_a r for a <= b: coefficients (K, m) and
+        # exponents (K, m, 2n), each derivative lowering one exponent, clamped at 0
+        dim = 2 * self.n
+        eye = np.eye(dim, dtype=int)
+        grad_c = self.coeffs * self.exps.T
+        grad_e = np.maximum(self.exps - eye[:, None, :], 0)
+        a, b = np.triu_indices(dim)
+        hess_c = grad_c[a] * grad_e[a, :, b]
+        hess_e = np.maximum(grad_e[a] - eye[b][:, None, :], 0)
+        self._derived_coeffs = np.concatenate([self.coeffs[None], grad_c, hess_c])
+        self._derived_exps = np.concatenate([self.exps[None], grad_e, hess_e])
+        self._hessian_index = np.empty((dim, dim), dtype=int)
+        self._hessian_index[a, b] = self._hessian_index[b, a] = 1 + dim + np.arange(a.size)
 
     @staticmethod
     def from_monomials(n: int, monomials) -> "PolynomialDefiningFunction":
@@ -108,54 +141,25 @@ class PolynomialDefiningFunction:
         exps.append(np.zeros(2 * n, dtype=int))
         return PolynomialDefiningFunction(n, coeffs, exps)
 
-    def _derivative(self, d: int):
-        c = self.coeffs * self.exps[:, d]
-        e = self.exps.copy()
-        e[:, d] = np.maximum(e[:, d] - 1, 0)
-        return c, e
-
-    def _ensure_derivative_tables(self):
-        if self._grad_polys is not None:
-            return
-        dim = 2 * self.n
-        self._grad_polys = [self._derivative(d) for d in range(dim)]
-        hess = []
-        for a in range(dim):
-            ca, ea = self._grad_polys[a]
-            row = []
-            for b in range(dim):
-                c = ca * ea[:, b]
-                e = ea.copy()
-                e[:, b] = np.maximum(e[:, b] - 1, 0)
-                row.append((c, e))
-            hess.append(row)
-        self._hess_polys = hess
-
-    @staticmethod
-    def _eval(coeffs, exps, X) -> np.ndarray:
-        mono = np.prod(X[..., None, :] ** exps, axis=-1)
-        return mono @ coeffs
-
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return self._eval(self.coeffs, self.exps, X)
+        flat = X.reshape(-1, X.shape[-1])
+        return (_monomials(flat, self.exps) @ self.coeffs).reshape(X.shape[:-1])
 
     def value_gradient_hessian(self, X):
         X = np.asarray(X, dtype=float)
-        self._ensure_derivative_tables()
-        dim = 2 * self.n
-        val = self._eval(self.coeffs, self.exps, X)
-        grad = np.stack(
-            [self._eval(c, e, X) for c, e in self._grad_polys], axis=-1
-        )
-        hess = np.zeros(X.shape[:-1] + (dim, dim), dtype=float)
-        for a in range(dim):
-            for b in range(a, dim):
-                c, e = self._hess_polys[a][b]
-                v = self._eval(c, e, X)
-                hess[..., a, b] = v
-                hess[..., b, a] = v
-        return val, grad, hess
+        shape, dim = X.shape[:-1], X.shape[-1]
+        flat = X.reshape(-1, dim)
+        # one C-contiguous (points, m) @ (m,) product per derived polynomial:
+        # BLAS sums a strided operand, and .sum(-1) sums, in another order
+        derived = np.matmul(
+            _monomials(flat, self._derived_exps), self._derived_coeffs[..., None]
+        )[..., 0]
+        val = derived[0]
+        # C-contiguous copies: an F-ordered grad moves the FFTs downstream by a bit
+        grad = np.ascontiguousarray(derived[1 : 1 + dim].T)
+        hess = np.ascontiguousarray(np.moveaxis(derived[self._hessian_index], -1, 0))
+        return val.reshape(shape), grad.reshape(shape + (dim,)), hess.reshape(shape + (dim, dim))
 
     def rescale(self, sigma: float) -> "PolynomialDefiningFunction":
         """Defining function of D/sigma: r_new(x) = r(sigma * x), exact."""
@@ -234,7 +238,7 @@ def _first_root_along_rays(r, X: np.ndarray):
         raise ValueError("gauge ray through the origin is undefined")
     deg = r.exps.sum(axis=1)
     D = int(deg.max())
-    H = r._eval(r.coeffs[:, None] * (deg[:, None] == np.arange(D + 1)), r.exps, X)
+    H = _monomials(X, r.exps) @ (r.coeffs[:, None] * (deg[:, None] == np.arange(D + 1)))
     if np.any(H[:, 0] == 0.0):
         raise DomainViolation("0 lies on {r = 0}, so rays from 0 have no first crossing")
 

@@ -17,7 +17,7 @@ Unknown and equation counts match exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -212,6 +212,8 @@ def _field_data(r, f: FourierDisc, q: FourierDisc, M: int) -> dict:
         "r_zzbar": r_zzbar,
         "qv": qv,
         "M": M,
+        # spectrum of zeta(1+q)(r_z o f): the c2 residual and the dual disc
+        "field_spec": np.fft.fft(Z[:, None] * (1.0 + qv)[:, None] * r_z, axis=0) / M,
     }
 
 
@@ -407,9 +409,13 @@ def newton_solve(
     fx, qx, mx, d, parts = eval_state(x)
     rn = parts.blended_norm()
     iters = 0
-    for it in range(config.max_iter):
-        if rn < config.tol_res:
-            break
+    # tested after every step, the last allowed one included; written with
+    # `not` so that a NaN residual keeps iterating instead of converging
+    while not rn < config.tol_res:
+        if iters >= config.max_iter:
+            raise NoConvergence(
+                f"Newton did not reach tol {config.tol_res:.0e} in {config.max_iter} iterations"
+            )
         J = _jacobian(layout, d, work, fx, mx)
         rhs = -layout.residual_vector(parts)
         try:
@@ -434,13 +440,9 @@ def newton_solve(
             step *= 0.5
         if not accepted:
             raise NoConvergence(
-                f"Newton damping exhausted at residual {rn:.3e} (iteration {it})"
+                f"Newton damping exhausted at residual {rn:.3e} (iteration {iters})"
             )
-        iters = it + 1
-    else:
-        raise NoConvergence(
-            f"Newton did not reach tol {config.tol_res:.0e} in {config.max_iter} iterations"
-        )
+        iters += 1
 
     disc_out = _assemble_disc(r, fx, qx, mx, constraint, rn, d)
     disc_out.diagnostics["newton_iters"] = iters
@@ -453,9 +455,7 @@ def _parts_from_grid(d, constraint: Constraint, f, q, N) -> ResidualParts:
     ks = np.arange(-N, N + 1)
     c1 = spec1[ks % M]
     c1 = 0.5 * (c1 + np.conj(c1[::-1]))
-    fieldv = d["Z"][:, None] * (1.0 + d["qv"])[:, None] * d["r_z"]
-    spec2 = np.fft.fft(fieldv, axis=0) / M
-    neg = spec2[(-np.arange(1, N + 1)) % M]
+    neg = d["field_spec"][(-np.arange(1, N + 1)) % M]
     c3 = _c3_of(constraint, f, float(constraint.multiplier))
     q1 = float(np.real(np.sum(q.coeffs)))
     return ResidualParts(
@@ -540,9 +540,7 @@ def _assemble_disc(
 ) -> StationaryDisc:
     """Build (f_tilde, rho) from the converged (f, q) and normalize so that
     f' . f_tilde == 1."""
-    M, Z = d["M"], d["Z"]
-    fieldv = Z[:, None] * (1.0 + d["qv"])[:, None] * d["r_z"]
-    spec = np.fft.fft(fieldv, axis=0) / M
+    M, spec = d["M"], d["field_spec"]
     keep = min(2 * q.k_max + 2, M // 2 - 1)
     ft_raw = FourierDisc(spec[: keep + 1].copy(), 0)
     neg_tail = float(np.sqrt(np.sum(np.abs(spec[M // 2 :]) ** 2)))
@@ -577,19 +575,10 @@ def normalize(disc: StationaryDisc) -> StationaryDisc:
     f_tilde, rho = _rescaled_dual(
         disc.f_tilde, ftv, c0, max(disc.q.k_max, disc.rho.k_max)
     )
-    out = StationaryDisc(
-        f=disc.f,
-        f_tilde=f_tilde,
-        rho=rho,
-        q=disc.q,
-        multiplier=disc.multiplier,
-        mode=disc.mode,
-        constraint_vector=disc.constraint_vector,
-        residual_norm=disc.residual_norm,
-        diagnostics=dict(disc.diagnostics),
+    return replace(
+        disc, f_tilde=f_tilde, rho=rho,
+        diagnostics=dict(disc.diagnostics, pairing_deviation=dev),
     )
-    out.diagnostics["pairing_deviation"] = dev
-    return out
 
 
 def disc_from_f(r, f: FourierDisc, mode: str, multiplier: float, vector) -> StationaryDisc:

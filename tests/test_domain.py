@@ -66,24 +66,67 @@ def test_ellipsoid_gradient_hand_expansion():
     assert np.allclose(g[0], [0.0, 0.0, 1.0, 0.0])
 
 
-def test_gradient_matches_finite_differences():
+FD_POLYNOMIALS = {
+    "mixed": (2, [(1.0, [2, 0, 0, 0]), (1.0, [0, 2, 0, 0]), (1.0, [0, 0, 2, 0]),
+                  (1.0, [0, 0, 0, 2]), (0.2, [4, 0, 0, 0]), (0.1, [1, 1, 2, 0]),
+                  (-1.0, [0, 0, 0, 0])]),
+    "odd_n3": (3, [(1.0, [3, 0, 0, 0, 0, 1]), (0.5, [0, 2, 1, 0, 0, 0]),
+                   (1.0, [0, 0, 0, 2, 0, 0]), (-0.3, [1, 0, 0, 0, 1, 0]),
+                   (-1.0, [0, 0, 0, 0, 0, 0])]),
+    "constant": (2, [(-1.0, [0, 0, 0, 0])]),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["point", "rows", "grid"])
+@pytest.mark.parametrize("poly", list(FD_POLYNOMIALS))
+def test_gradient_matches_finite_differences(poly, shape):
+    """The gradient against central differences of the value, the Hessian
+    against central differences of the gradient, for points of any shape."""
+    n, monomials = FD_POLYNOMIALS[poly]
+    r = PolynomialDefiningFunction.from_monomials(n, monomials)
+    dim = 2 * n
     rng = np.random.default_rng(2)
-    r = PolynomialDefiningFunction.from_monomials(
-        2,
-        [(1.0, [2, 0, 0, 0]), (1.0, [0, 2, 0, 0]), (1.0, [0, 0, 2, 0]),
-         (1.0, [0, 0, 0, 2]), (0.2, [4, 0, 0, 0]), (0.1, [1, 1, 2, 0]),
-         (-1.0, [0, 0, 0, 0])],
-    )
     for _ in range(10):
-        x = rng.normal(size=(1, 4)) * 0.5
-        _, g, _ = r.value_gradient_hessian(x)
+        x = rng.normal(size=shape + (dim,)) * 0.5
+        v, g, hess = r.value_gradient_hessian(x)
+        assert v.shape == shape and g.shape == shape + (dim,)
+        assert hess.shape == shape + (dim, dim)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
         for h in (1e-4, 1e-5):
-            fd = np.zeros(4)
-            for j in range(4):
-                e = np.zeros(4)
-                e[j] = h
-                fd[j] = (r.value(x + e)[0] - r.value(x - e)[0]) / (2 * h)
-            assert np.max(np.abs(fd - g[0])) < 50 * h**2 + 1e-10
+            # row j of the (..., dim, dim) stacks is x +- h e_j
+            up, down = x[..., None, :] + h * np.eye(dim), x[..., None, :] - h * np.eye(dim)
+            fd = (r.value(up) - r.value(down)) / (2 * h)
+            assert np.max(np.abs(fd - g)) < 50 * h**2 + 1e-10
+            fd = (r.value_gradient_hessian(up)[1] - r.value_gradient_hessian(down)[1]) / (2 * h)
+            assert np.max(np.abs(fd - hess)) < 50 * h**2 + 1e-10
+
+
+def test_power_table_matches_per_polynomial_powers_bit_for_bit():
+    """value, gradient and Hessian equal np.prod(x ** p) @ c summed over the
+    monomials of r and of each derivative, with exponents lowered and
+    clamped at 0 one step at a time."""
+
+    def lower(c, e, d):
+        lowered = e.copy()
+        lowered[:, d] = np.maximum(e[:, d] - 1, 0)
+        return c * e[:, d], lowered
+
+    rng = np.random.default_rng(6)
+    for n, monomials in list(FD_POLYNOMIALS.values()) + [(2, quartic().defining.monomials())]:
+        r = PolynomialDefiningFunction.from_monomials(n, monomials)
+        X = rng.normal(size=(257, 2 * n))
+
+        def ev(c, e):
+            return np.prod(X[:, None, :] ** e, axis=-1) @ c
+
+        v, g, hess = r.value_gradient_hessian(X)
+        assert np.array_equal(v, ev(r.coeffs, r.exps))
+        assert np.array_equal(r.value(X), v)
+        for a in range(2 * n):
+            ga = lower(r.coeffs, r.exps, a)
+            assert np.array_equal(g[:, a], ev(*ga))
+            for b in range(a, 2 * n):
+                assert np.array_equal(hess[:, a, b], ev(*lower(*ga, b)))
 
 
 def test_wirtinger_quadric():

@@ -298,6 +298,18 @@ def test_newton_reports_iteration_count(ellipsoid_disc):
     assert 1 <= out.diagnostics["newton_iters"] <= 10
 
 
+def test_newton_accepts_convergence_on_its_last_allowed_iteration(ellipsoid_disc):
+    r, out = ellipsoid_disc
+    k = out.diagnostics["newton_iters"]
+    con = Constraint("two-point", np.array([0.4, 0.2]), None)
+    seed = ball_seed(np.zeros(2, dtype=complex), con, N=32)
+    last = newton_solve(r, con, seed, NewtonConfig(N=32, max_iter=k))
+    assert last.diagnostics["newton_iters"] == k
+    assert np.array_equal(last.f.coeffs, out.f.coeffs)
+    with pytest.raises(NoConvergence, match=f"in {k - 1} iterations"):
+        newton_solve(r, con, seed, NewtonConfig(N=32, max_iter=k - 1))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

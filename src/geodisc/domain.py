@@ -17,6 +17,7 @@ root s of sum_d h_d(x) s^(D-d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -377,10 +378,19 @@ class DomainSpec:
         """Dilated copy D/sigma contained in the closed unit ball.
 
         Returns (domain, sigma, delta) where delta is the radius of the
-        largest origin-centred ball inside the rescaled domain.
+        largest origin-centred ball inside the rescaled domain.  The
+        triple is a property of the domain: it is computed on the first
+        call and every later call returns the same objects, so callers
+        must not mutate it, nor the domain once it has been rescaled.
         """
         if self.kind == "ball":
             return self, 1.0, 1.0
+        return self._dilation
+
+    # Python 3.11's cached_property locks the first computation; from 3.12
+    # concurrent first calls may each compute it, to the same values.
+    @cached_property
+    def _dilation(self):
         if self.kind == "ellipsoid":
             sigma = float(np.max(self.semiaxes))
             new_axes = np.asarray(self.semiaxes, dtype=float) / sigma

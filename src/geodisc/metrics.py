@@ -54,6 +54,12 @@ def left_inverse(disc: StationaryDisc, z) -> complex:
     (else WindingNotOne); the first moment of G'/G seeds a Newton polish
     down to |G| < 1e-12 (else NewtonFailure).
     """
+    return _left_inverse_root(disc, z)[0]
+
+
+def _left_inverse_root(disc: StationaryDisc, z):
+    """(F(z), G') for G = G(z, .): left_inverse together with the derivative
+    disc it polished with, which kobayashi_royden also needs."""
     G = G_disc(disc, z)
     w = dc.winding(G)
     if w != 1:
@@ -68,7 +74,7 @@ def left_inverse(disc: StationaryDisc, z) -> complex:
     for _ in range(60):
         g = complex(G(zeta))
         if abs(g) < 1e-12:
-            return zeta
+            return zeta, Gp
         gp = complex(Gp(zeta))
         if gp == 0:
             break
@@ -158,9 +164,7 @@ def kobayashi_royden(
     lam = float(disc.multiplier)
     value = 1.0 / lam
     cert = _certify(domain, disc, z)
-    zeta0 = left_inverse(disc, z)
-    G = G_disc(disc, z)
-    Gp = dc.differentiate(G).band(0, max(G.k_max - 1, 0))
+    zeta0, Gp = _left_inverse_root(disc, z)
     dFv = -complex(np.sum(v * disc.f_tilde(zeta0))) / complex(Gp(zeta0))
     cert_value = abs(dFv) / (1.0 - abs(zeta0) ** 2)
     result = MetricsResult(

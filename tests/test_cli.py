@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import geodisc.cli as cli
 import geodisc.metrics as metrics
 from geodisc.continuation import PathResult
+from geodisc.domain import DomainSpec
 from geodisc.errors import StepUnderflow
 
 
@@ -407,6 +408,34 @@ def test_table_writes_partial_results_on_failure(tmp_path, ball_file, monkeypatc
     rows = read_csv(out / "table.csv")
     assert len(rows) == 2  # header plus the completed diagonal cell
     assert rows[1][0] == "0" and rows[1][1] == "0"
+
+
+def test_table_rescales_the_domain_once(tmp_path, monkeypatch, capsys):
+    # r = sum x_d^2 + 1/2 sum x_d^4 - 1: a polynomial domain, so its
+    # dilation runs the ray gauge, once for all the table's cells
+    monomials = [{"c": -1.0, "p": [0, 0, 0, 0]}]
+    for d in range(4):
+        for power, c in ((2, 1.0), (4, 0.5)):
+            p = [0, 0, 0, 0]
+            p[d] = power
+            monomials.append({"c": c, "p": p})
+    quartic = write_json(tmp_path / "quartic.json", {"n": 2, "kind": "polynomial", "monomials": monomials})
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return orig(self)
+
+    orig = DomainSpec.boundary_radius_range
+    monkeypatch.setattr(DomainSpec, "boundary_radius_range", counted)
+    monkeypatch.setenv("GEODISC_THREADS", "1")
+    code = cli.main(
+        ["table", quartic, "--grid", "0,0;0.1,0", "--N", "32", "--output", str(tmp_path / "out")]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert len(read_csv(tmp_path / "out" / "table.csv")) == 5
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Defining functions, Wirtinger calculus, gauges, homotopy family,
 convexity sampling, and the JSON domain format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,26 @@ def test_rescaled_ellipsoid():
     assert delta == pytest.approx(0.5)
     # the scaled domain sits inside the closed unit ball
     assert minkowski(scaled, np.array([0.0, 0.999 + 0j])) < 1.0
+
+
+def test_rescaled_quartic_is_computed_once(monkeypatch):
+    d = quartic()
+    first = d.rescaled()
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return orig(self)
+
+    orig = DomainSpec.boundary_radius_range
+    monkeypatch.setattr(DomainSpec, "boundary_radius_range", counted)
+    second = d.rescaled()
+    assert calls == []
+    assert all(a is b for a, b in zip(first, second))
+    # the dilation is a function of the domain alone: a fresh copy agrees
+    _, sigma, delta = load_domain(json.loads(json.dumps(domain_to_dict(d)))).rescaled()
+    assert calls == [1]
+    assert (sigma, delta) == first[1:]
 
 
 def test_load_domain_roundtrip():

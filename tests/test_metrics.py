@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from geodisc import disc as dc
+from geodisc import metrics
 from geodisc.disc import FourierDisc
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
 from geodisc.errors import DomainViolation, WindingNotOne
@@ -260,6 +262,28 @@ def test_ellipsoid_metric_along_the_long_axis():
     assert res.value == pytest.approx(0.5, abs=1e-12)
     assert res.certificate_gap < 1e-12
     assert res.xi_or_lambda == pytest.approx(2.0, abs=1e-10)
+
+
+def test_metric_certificate_builds_G_once(monkeypatch):
+    E = ellipsoid_domain((1.0, 2.0))
+    z = np.array([0.2, 0.3j])
+    v = np.array([0.5, -0.3 + 0.2j])
+    _, disc = kobayashi_royden(E, z, v)
+    calls = []
+
+    def counted(*args, _orig=metrics.G_disc):
+        calls.append(1)
+        return _orig(*args)
+
+    monkeypatch.setattr(metrics, "G_disc", counted)
+    res, _ = kobayashi_royden(E, z, v, disc=disc)
+    assert len(calls) == 1
+    # the certificate as computed from a second G(z, .), bit for bit
+    zeta0 = left_inverse(disc, z)
+    G = G_disc(disc, z)
+    Gp = dc.differentiate(G).band(0, max(G.k_max - 1, 0))
+    dFv = -complex(np.sum(v * disc.f_tilde(zeta0))) / complex(Gp(zeta0))
+    assert res.certificate_gap == abs(res.value - abs(dFv) / (1.0 - abs(zeta0) ** 2))
 
 
 def test_metrics_result_serializes():

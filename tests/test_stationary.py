@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 
 from geodisc import disc as dc
+from geodisc import stationary
 from geodisc.continuation import ball_seed
 from geodisc.disc import FourierDisc
-from geodisc.domain import PolynomialDefiningFunction
+from geodisc.domain import DomainSpec, PolynomialDefiningFunction
 from geodisc.errors import (
     InvalidConstraint,
     NoConvergence,
     NonConstantPairing,
 )
+from geodisc.metrics import lempert_distance
 from geodisc.stationary import (
     Constraint,
     NewtonConfig,
+    _holder_constant,
     axis_ball_defining,
     contraction_solve_report,
     disc_from_f,
@@ -397,6 +400,59 @@ def test_verify_ellipsoid_disc(ellipsoid_disc):
     assert rep.passed
     assert rep.pairing_deviation < 1e-9
     assert np.isfinite(rep.holder_constant)
+
+
+def holder_all_pairs(vals, n_pts):
+    """The 1/2-Holder constant over the full m x m pair matrix: the
+    reference that the offset scan must match bit for bit."""
+    M = vals.shape[0]
+    stride = max(M // n_pts, 1)
+    sub = vals[::stride]
+    zs = dc.unit_grid(M)[::stride]
+    dfz = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
+    dzz = np.sqrt(np.abs(zs[:, None] - zs[None, :]))
+    mask = dzz > 0
+    return float(np.max(dfz[mask] / dzz[mask]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n_pts", [128, 384])
+@pytest.mark.parametrize("M", [520, 1032, 2056])
+def test_holder_offset_scan_matches_all_pairs(M, n_pts, n):
+    # strides 1 to 16, with odd and even sample counts m
+    rng = np.random.default_rng([M, n_pts, n])
+    noise = rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n))
+    # on a complex line the ratio is sqrt|zeta_i - zeta_j|: largest at the
+    # widest offset, where noise has its largest ratios at the narrowest
+    line = dc.unit_grid(M)[:, None] * noise[0] + noise[1]
+    for vals in (noise, line):
+        assert _holder_constant(vals, n_pts) == holder_all_pairs(vals, n_pts)
+
+
+def test_holder_offset_scan_matches_all_pairs_on_a_solved_disc():
+    E12 = DomainSpec(2, "ellipsoid", PolynomialDefiningFunction.ellipsoid((1.0, 2.0)),
+                     semiaxes=np.array([1.0, 2.0]))
+    _, disc = lempert_distance(E12, np.array([0.3, 0.2j]), np.array([-0.2, 0.5]))
+    M = max(8 * max(disc.f.k_max, disc.q.k_max), 512)
+    vals = disc.f.boundary_values(M)
+    assert _holder_constant(vals, 384) == holder_all_pairs(vals, 384)
+
+
+def test_holder_nan_sample_fails_verification(ellipsoid_disc, monkeypatch):
+    r, out = ellipsoid_disc
+    vals = out.f.boundary_values(512)
+    vals[7, 1] = np.nan
+    assert np.isnan(_holder_constant(vals, 384))
+
+    def with_nan_sample(vals, n_pts):
+        vals = vals.copy()
+        vals[7, 1] = np.nan
+        return _holder_constant(vals, n_pts)
+
+    monkeypatch.setattr(stationary, "_holder_constant", with_nan_sample)
+    rep = verify_E(r, out, np.zeros(2))
+    assert np.isnan(rep.holder_constant)
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------

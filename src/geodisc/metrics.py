@@ -20,7 +20,9 @@ from . import disc as dc
 from .domain import DomainSpec
 from .errors import DomainViolation, NewtonFailure, WindingNotOne
 from .continuation import ContinuationConfig, solve_extremal
-from .stationary import Constraint, EReport, G_disc, NewtonConfig, StationaryDisc, verify_E
+from .stationary import (
+    Constraint, EReport, G_disc, NewtonConfig, StationaryDisc, _G_winding, verify_E,
+)
 
 
 @dataclass
@@ -60,8 +62,7 @@ def left_inverse(disc: StationaryDisc, z) -> complex:
 def _left_inverse_root(disc: StationaryDisc, z):
     """(F(z), G') for G = G(z, .): left_inverse together with the derivative
     disc it polished with, which kobayashi_royden also needs."""
-    G = G_disc(disc, z)
-    w = dc.winding(G)
+    G, w = _G_winding(disc, z)
     if w != 1:
         raise WindingNotOne(f"G(z, .) winds {w} times around 0, expected 1")
     Gp = dc.differentiate(G).band(0, max(G.k_max - 1, 0))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import disc as dc
 from .disc import FourierDisc, unit_grid
@@ -93,6 +94,9 @@ class StationaryDisc:
     constraint_vector: np.ndarray
     residual_norm: float
     diagnostics: dict = dc_field(default_factory=dict)
+    # (z, f, f_tilde, G(z, .), its winding) of the last _G_winding call;
+    # replace() starts a new disc without it
+    _G_memo: tuple = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def base_point(self) -> np.ndarray:
@@ -521,28 +525,50 @@ def _dual_from_normal(f: FourierDisc, nu: np.ndarray, n_coeffs: int):
     return rho_vals, FourierDisc(spec[: min(n_coeffs, M // 2)].copy(), 0)
 
 
+_HOLDER_BLOCK = 32  # offsets per block of the Holder scan
+
+
 def _holder_constant(vals: np.ndarray, n_pts: int) -> float:
     """Empirical 1/2-Holder constant of boundary values sampled on the
     uniform grid, from every (M // n_pts)-th sample: the largest
     |f_i - f_j| / sqrt|zeta_i - zeta_j| over the pairs of distinct samples.
 
-    The scan runs by offset: pair[s - 1, i] = (i + s) mod m for s = 1..m//2
-    meets every unordered pair of the m samples once (twice at s = m/2),
-    about half of the all-pairs matrix.  On the uniform grid the distance
-    |zeta_i - zeta_j| depends only on the offset i - j, but it is still
-    taken pair by pair: each ratio is then the same float as in the
-    all-pairs matrix (a - b and b - a differ only in sign), so the maximum
-    is bit-identical to it, and a NaN sample still gives NaN.
+    The scan runs by offset: the pairs (i, i + s mod m) for s = 1..m//2
+    meet every unordered pair of the m samples once (twice at s = m/2).
+    The samples are stored component-major and extended by their first
+    m//2 columns, so window s of a sliding-window view is the cyclic shift
+    by s, read in place; the grid points are windowed the same way.  The
+    offsets are scanned in blocks of _HOLDER_BLOCK, which bounds every
+    temporary at (n, block, m) whatever the grid size.
+
+    The constant reaches EReport.holder_constant and the holder_C column
+    of trace.csv, so the scan keeps the bits of the all-pairs matrix and
+    the artifacts do not move with it.  Each ratio is formed pair by pair,
+    with the operands of np.linalg.norm, (d.conj() * d).real summed over
+    the components, and with the distance |zeta_i - zeta_j| of that pair
+    (on the grid it depends on the offset only up to roundoff).  So every
+    ratio is the same float as in the all-pairs matrix (a - b and b - a
+    differ only in sign), the maximum is bit-identical to it, and np.max
+    over the block maxima keeps a NaN sample's NaN.
     """
     M = vals.shape[0]
     stride = max(M // n_pts, 1)
-    sub = vals[::stride]
+    sub = vals[::stride].T
     zs = unit_grid(M)[::stride]
-    m = sub.shape[0]
-    pair = (np.arange(m) + np.arange(1, m // 2 + 1)[:, None]) % m
-    dfz = np.linalg.norm(sub[pair] - sub, axis=2)
-    dzz = np.sqrt(np.abs(zs[pair] - zs))
-    return float(np.max(dfz / dzz))
+    m = zs.shape[0]
+    h = m // 2
+    f_win = sliding_window_view(np.concatenate([sub, sub[:, :h]], axis=1), m, axis=1)
+    z_win = sliding_window_view(np.concatenate([zs, zs[:h]]), m)
+    peaks = []
+    for s in range(1, h + 1, _HOLDER_BLOCK):
+        block = slice(s, s + _HOLDER_BLOCK)
+        # a C-ordered difference keeps the component sum a reduction of
+        # contiguous rows
+        d = np.subtract(f_win[:, block], sub[:, None, :], order="C")
+        dfz = np.sqrt(np.add.reduce((d.conj() * d).real, axis=0))
+        dzz = np.sqrt(np.abs(z_win[block] - zs))
+        peaks.append(np.max(dfz / dzz))
+    return float(np.max(peaks))
 
 
 def _assemble_disc(
@@ -645,6 +671,19 @@ def G_disc(disc: StationaryDisc, z) -> FourierDisc:
     return dc.dot_product(zf, disc.f_tilde)
 
 
+def _G_winding(disc: StationaryDisc, z):
+    """(G(z, .), its winding number), built once per disc and point z:
+    verify_E and the left inverse both need them at the base point.  The
+    memo also holds the f and f_tilde it was built from, so assigning
+    either one builds G again."""
+    zb = np.asarray(z, dtype=complex).tobytes()
+    memo = disc._G_memo
+    if not (memo and memo[0] == zb and memo[1] is disc.f and memo[2] is disc.f_tilde):
+        G = G_disc(disc, z)
+        memo = disc._G_memo = (zb, disc.f, disc.f_tilde, G, dc.winding(G))
+    return memo[3], memo[4]
+
+
 def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     """Recompute all E-mapping certificates of a disc from scratch.
 
@@ -677,7 +716,7 @@ def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     phi_vals = np.einsum("mj,mj->m", z[None, :] - fv, np.conj(nu))
     wind_phi = dc.winding_values(phi_vals)
 
-    wind_G = dc.winding(G_disc(disc, z))
+    _, wind_G = _G_winding(disc, z)
 
     holder = _holder_constant(fv, 384)
     M2 = max(4 * (disc.f.k_max + disc.f_tilde.k_max + 2), 256)

@@ -1,0 +1,31 @@
+"""The runtime depends on numpy alone: every module of the package imports
+only the standard library, numpy and geodisc itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "geodisc").glob("*.py"))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "geodisc"}
+
+
+def imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import stays inside the package
+            yield "geodisc" if node.level else node.module.split(".")[0]
+
+
+def test_the_package_sources_are_found():
+    assert {"cli.py", "stationary.py", "metrics.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_numpy_or_geodisc(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert set(imported_roots(tree)) <= ALLOWED

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geodisc import disc as dc
-from geodisc import metrics
+from geodisc import metrics, stationary
 from geodisc.disc import FourierDisc
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
 from geodisc.errors import DomainViolation, WindingNotOne
@@ -190,6 +190,48 @@ def test_ellipsoid_reference_pairs():
     assert r12.certificate_gap < 1e-9
 
 
+# E(a) = {sum |z_j|^2 / a_j^2 < 1} is the image of the unit ball under
+# L = diag(a), so k_E(z, w) = k_B(L^-1 z, L^-1 w) and
+# kappa_E(z; v) = kappa_B(L^-1 z; L^-1 v): a reference independent of the
+# solver, which never uses L
+E12_AXES = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "solve, ball_value, z, y, band",
+    [
+        (lempert_distance, ball_formula,
+         (0.2 + 0.1j, 0.5 - 0.3j), (-0.3, 0.2 + 0.4j), 64),
+        # gauge 0.797, off both axes
+        (lempert_distance, ball_formula,
+         (0.6 + 0.3j, -0.7 + 0.5j), (0.1, 0.2j), 128),
+        (kobayashi_royden, ball_kappa,
+         (0.2 + 0.1j, 0.5 - 0.3j), (0.4, -0.3 + 0.5j), 64),
+        (kobayashi_royden, ball_kappa,
+         (0.6 + 0.3j, -0.7 + 0.5j), (1.0, 0.5j), 128),
+    ],
+    ids=["pair-band64", "pair-band128", "direction-band64", "direction-band128"],
+)
+def test_ellipsoid_matches_the_ball_under_the_linear_map(solve, ball_value, z, y, band):
+    z, y = np.array(z), np.array(y)
+    res, disc = solve(ellipsoid_domain(E12_AXES), z, y)
+    assert disc.f.k_max == band + 1
+    assert res.report.passed
+    assert abs(res.value - ball_value(z / E12_AXES, y / E12_AXES)) < 1e-10
+
+
+def test_ellipsoid_reference_values_match_the_linear_map():
+    z = np.array([0.3 + 0.1j, -0.2j])
+    w = np.array([-0.4, 0.5 + 0.2j])
+    # the values that test_ellipsoid_reference_pairs recorded from the solver
+    for value, a, x, y in (
+        (0.37752383215050755, E12_AXES, np.zeros(2), np.array([0.2, 0.6])),
+        (0.8351648437232304, E12_AXES, z, w),
+        (1.0015195760638653, np.array([1.0, 1.2]), z, w),
+    ):
+        assert abs(value - ball_formula(x / a, y / a)) < 1e-10
+
+
 def test_distance_is_symmetric():
     E = ellipsoid_domain((1.0, 1.2))
     z = np.array([0.3 + 0.1j, -0.2j])
@@ -264,26 +306,51 @@ def test_ellipsoid_metric_along_the_long_axis():
     assert res.xi_or_lambda == pytest.approx(2.0, abs=1e-10)
 
 
+def count_G_builds(monkeypatch):
+    calls = []
+    for module in (stationary, metrics):
+        def counted(*args, _orig=module.G_disc):
+            calls.append(1)
+            return _orig(*args)
+
+        monkeypatch.setattr(module, "G_disc", counted)
+    return calls
+
+
 def test_metric_certificate_builds_G_once(monkeypatch):
     E = ellipsoid_domain((1.0, 2.0))
     z = np.array([0.2, 0.3j])
     v = np.array([0.5, -0.3 + 0.2j])
-    _, disc = kobayashi_royden(E, z, v)
-    calls = []
-
-    def counted(*args, _orig=metrics.G_disc):
-        calls.append(1)
-        return _orig(*args)
-
-    monkeypatch.setattr(metrics, "G_disc", counted)
-    res, _ = kobayashi_royden(E, z, v, disc=disc)
+    calls = count_G_builds(monkeypatch)
+    # verify_E and the left inverse share G(z, .) and its winding
+    res, disc = kobayashi_royden(E, z, v)
     assert len(calls) == 1
+    again, _ = kobayashi_royden(E, z, v, disc=disc)
+    assert len(calls) == 1
+    assert again.certificate_gap == res.certificate_gap
+    # a disc made by replace() builds its own, and so does a new f_tilde
+    kobayashi_royden(E, z, v, disc=dataclasses.replace(disc))
+    assert len(calls) == 2
+    disc.f_tilde = FourierDisc(disc.f_tilde.coeffs.copy(), disc.f_tilde.k_min)
+    kobayashi_royden(E, z, v, disc=disc)
+    assert len(calls) == 3
     # the certificate as computed from a second G(z, .), bit for bit
     zeta0 = left_inverse(disc, z)
     G = G_disc(disc, z)
     Gp = dc.differentiate(G).band(0, max(G.k_max - 1, 0))
     dFv = -complex(np.sum(v * disc.f_tilde(zeta0))) / complex(Gp(zeta0))
     assert res.certificate_gap == abs(res.value - abs(dFv) / (1.0 - abs(zeta0) ** 2))
+
+
+def test_lempert_certificate_builds_G_once_per_point(monkeypatch):
+    E = ellipsoid_domain((1.0, 2.0))
+    z, w = np.array([0.2, 0.3j]), np.array([-0.1, 0.4])
+    calls = count_G_builds(monkeypatch)
+    res, disc = lempert_distance(E, z, w)
+    # G(z, .) for verify_E and F(z), G(w, .) for F(w)
+    assert len(calls) == 2
+    Fz, Fw = left_inverse(disc, z), left_inverse(disc, w)
+    assert res.certificate_gap == abs(poincare(Fz, Fw) - res.value)
 
 
 def test_metrics_result_serializes():

@@ -3,6 +3,7 @@ certificate verification, the linearization at the axis disc, and the
 contraction solver behind it."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,11 +416,13 @@ def holder_all_pairs(vals, n_pts):
     return float(np.max(dfz[mask] / dzz[mask]))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("n_pts", [128, 384])
-@pytest.mark.parametrize("M", [520, 1032, 2056])
+@pytest.mark.parametrize("M", [256, 512, 520, 1032, 2056])
 def test_holder_offset_scan_matches_all_pairs(M, n_pts, n):
-    # strides 1 to 16, with odd and even sample counts m
+    # strides 1 to 16, with odd and even sample counts m; m = 128 (the
+    # continuation's trace rows) fills whole blocks of offsets, m = 520
+    # and m = 516 (M = 1032, n_pts = 384) end in a partial block
     rng = np.random.default_rng([M, n_pts, n])
     noise = rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n))
     # on a complex line the ratio is sqrt|zeta_i - zeta_j|: largest at the
@@ -427,6 +430,32 @@ def test_holder_offset_scan_matches_all_pairs(M, n_pts, n):
     line = dc.unit_grid(M)[:, None] * noise[0] + noise[1]
     for vals in (noise, line):
         assert _holder_constant(vals, n_pts) == holder_all_pairs(vals, n_pts)
+
+
+def test_holder_nonfinite_sample_matches_all_pairs():
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((520, 2)) + 1j * rng.standard_normal((520, 2))
+    vals[11, 0] = np.inf
+    # inf - inf in the imaginary part of the squared differences
+    with np.errstate(invalid="ignore"):
+        assert _holder_constant(vals, 384) == holder_all_pairs(vals, 384) == np.inf
+    vals[11, 0] = np.nan
+    assert np.isnan(_holder_constant(vals, 384))
+    assert np.isnan(holder_all_pairs(vals, 384))
+
+
+def test_holder_scan_memory_is_bounded():
+    # the blocked scan holds no (m//2, m, n) gather, which peaks at 15.8 MB
+    # here
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((1024, 3)) + 1j * rng.standard_normal((1024, 3))
+    tracemalloc.start()
+    try:
+        _holder_constant(vals, 384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_holder_offset_scan_matches_all_pairs_on_a_solved_disc():

@@ -39,11 +39,9 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .continuation import ContinuationConfig
 from .disc import FourierDisc
 from .domain import DomainSpec, load_domain, verify_convexity
 from .errors import (
@@ -177,46 +175,17 @@ def _emit(obj, out, depth):
 
 
 # ---------------------------------------------------------------------------
-# run configuration and shared plumbing
+# shared plumbing
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    N: int = 64
-    tol_res: float = 1e-10
-    continuation: ContinuationConfig = dc_field(default_factory=ContinuationConfig)
-    seed_rng: int = 0
-    output: str = "."
-    format: str = "json"
-
-    def validate(self):
-        if self.N < 8:
-            raise ValueError(f"N must be at least 8, got {self.N}")
-        if not self.tol_res > 0:
-            raise ValueError(f"tol_res must be positive, got {self.tol_res}")
-        c = self.continuation
-        if not (c.initial_step > 0 and c.min_step > 0 and c.tol_res > 0):
-            raise ValueError("continuation tolerances must be positive")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
-
-
-def _run_config(args) -> RunConfig:
-    cfg = RunConfig(
-        N=args.N,
-        tol_res=args.tol_res,
-        continuation=ContinuationConfig(tol_res=args.tol_res),
-        seed_rng=args.seed_rng,
-        output=args.output,
-        format=args.format,
-    )
-    cfg.validate()
-    return cfg
-
-
-def _newton(cfg: RunConfig) -> NewtonConfig:
-    return NewtonConfig(N=cfg.N, tol_res=cfg.tol_res)
+def _newton(args) -> NewtonConfig:
+    """The solver setting of a solve or table run, from --N and --tol-res."""
+    if args.N < 8:
+        raise ValueError(f"N must be at least 8, got {args.N}")
+    if not args.tol_res > 0:
+        raise ValueError(f"tol_res must be positive, got {args.tol_res}")
+    return NewtonConfig(N=args.N, tol_res=args.tol_res)
 
 
 def _read_json(path: str):
@@ -240,9 +209,9 @@ def _load_domain_file(path: str, seed_rng: int = 0) -> DomainSpec:
     return domain
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.output, exist_ok=True)
-    return os.path.join(cfg.output, name)
+def _out_path(output: str, name: str) -> str:
+    os.makedirs(output, exist_ok=True)
+    return os.path.join(output, name)
 
 
 def _write_text(path: str, text: str):
@@ -303,28 +272,28 @@ def _report_dict(report) -> dict:
 
 
 def cmd_solve(args) -> int:
-    cfg = _run_config(args)
-    domain = _load_domain_file(args.domain, cfg.seed_rng)
+    newton = _newton(args)
+    domain = _load_domain_file(args.domain, args.seed_rng)
     z = parse_point(args.from_, domain.n)
-    newton = _newton(cfg)
 
     try:
         if args.to is not None:
             w = parse_point(args.to, domain.n)
-            result, disc = lempert_distance(domain, z, w, cfg.continuation, newton)
+            result, disc = lempert_distance(domain, z, w, newton)
         else:
             v = parse_point(args.dir, domain.n)
-            result, disc = kobayashi_royden(domain, z, v, cfg.continuation, newton)
+            result, disc = kobayashi_royden(domain, z, v, newton)
     except StepUnderflow as e:
         if e.path is not None:
-            write_trace_csv(_out_path(cfg, "trace.csv"), e.path.trace)
-            print(f"partial trace written to {_out_path(cfg, 'trace.csv')}", file=sys.stderr)
+            trace_path = _out_path(args.output, "trace.csv")
+            write_trace_csv(trace_path, e.path.trace)
+            print(f"partial trace written to {trace_path}", file=sys.stderr)
         raise
 
     report = result.report
     ok = report.passed and result.certificate_gap < GAP_TOL
 
-    if cfg.format == "csv":
+    if args.format == "csv":
         header = (
             "kind,value,xi_or_lambda,certificate_gap,wind_phi,wind_G,"
             "residual_blended,boundary_sup,dual_tail_sup"
@@ -342,14 +311,14 @@ def cmd_solve(args) -> int:
                 fmt(result.residuals["dual_tail_sup"]),
             ]
         )
-        _write_text(_out_path(cfg, "metrics.csv"), header + "\n" + row + "\n")
+        _write_text(_out_path(args.output, "metrics.csv"), header + "\n" + row + "\n")
     else:
-        _write_text(_out_path(cfg, "metrics.json"), canonical_json(result.to_dict()))
+        _write_text(_out_path(args.output, "metrics.json"), canonical_json(result.to_dict()))
 
     bundle = disc.to_bundle()
     bundle["certificates"] = _report_dict(report)
-    _write_text(_out_path(cfg, "disc.json"), canonical_json(bundle))
-    write_trace_csv(_out_path(cfg, "trace.csv"), disc.diagnostics.get("trace", []))
+    _write_text(_out_path(args.output, "disc.json"), canonical_json(bundle))
+    write_trace_csv(_out_path(args.output, "trace.csv"), disc.diagnostics.get("trace", []))
 
     print(
         f"{result.kind} value {fmt(result.value)}  "
@@ -448,7 +417,7 @@ def _split_grid(spec: str):
     return [tok.strip() for tok in spec.split(";") if tok.strip()]
 
 
-def _table_cell(domain, pts, cfg, newton, cell):
+def _table_cell(domain, pts, newton, cell):
     i, j = cell
     base = {"i": i, "j": j, "z": format_point(pts[i]), "w": format_point(pts[j])}
     if i == j:
@@ -457,7 +426,7 @@ def _table_cell(domain, pts, cfg, newton, cell):
             wind_phi="", wind_G="", holder_C="", passed="",
         )
         return base, None
-    result, disc = lempert_distance(domain, pts[i], pts[j], cfg.continuation, newton)
+    result, disc = lempert_distance(domain, pts[i], pts[j], newton)
     report = result.report
     base.update(
         value=result.value,
@@ -487,14 +456,13 @@ _TABLE_COLUMNS = (
 
 
 def cmd_table(args) -> int:
-    cfg = _run_config(args)
-    domain = _load_domain_file(args.domain, cfg.seed_rng)
+    newton = _newton(args)
+    domain = _load_domain_file(args.domain, args.seed_rng)
     pts = [parse_point(tok, domain.n) for tok in _split_grid(args.grid)]
     for k, p in enumerate(pts):
         if not domain.contains(p):
             raise DomainViolation(f"grid point #{k} ({format_point(p)}) is not interior")
 
-    newton = _newton(cfg)
     cells = [(i, j) for i in range(len(pts)) for j in range(len(pts))]
     boundary_header = ["i", "j", "theta"]
     for k in range(domain.n):
@@ -504,7 +472,7 @@ def cmd_table(args) -> int:
     if cells:
         workers = _worker_count(len(cells))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_table_cell, domain, pts, cfg, newton, c) for c in cells]
+            futures = [pool.submit(_table_cell, domain, pts, newton, c) for c in cells]
             for cell, fut in zip(cells, futures):
                 try:
                     row, smp = fut.result()
@@ -515,13 +483,13 @@ def cmd_table(args) -> int:
                 if smp is not None:
                     samples.extend(smp)
 
-    table_path = _out_path(cfg, "table.csv")
+    table_path = _out_path(args.output, "table.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(_TABLE_COLUMNS)
         for row in rows:
             wr.writerow([_csv_cell(row[c]) for c in _TABLE_COLUMNS])
-    with open(_out_path(cfg, "boundary.csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(_out_path(args.output, "boundary.csv"), "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(boundary_header)
         for row in samples:

@@ -11,12 +11,11 @@ every t.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable
 
 import numpy as np
 
 from . import disc as dc
-from .disc import FourierDisc, unit_grid
+from .disc import FourierDisc, _next_pow2, unit_grid
 from .domain import DomainSpec, PolynomialDefiningFunction, homotopy_domain
 from .errors import (
     DomainViolation,
@@ -32,28 +31,17 @@ from .stationary import (
     StationaryDisc,
     _dual_from_normal,
     _holder_constant,
-    _next_pow2,
     newton_solve,
     normalize,
     residual,
 )
 
 
-@dataclass
-class ContinuationConfig:
-    initial_step: float = 0.1
-    min_step: float = 1e-6
-    tol_res: float = 1e-10
-    max_steps: int = 500
-
-
-@dataclass
-class HomotopyProblem:
-    """family(t) -> (defining function, Constraint) for t in [0, 1]."""
-
-    family: Callable[[float], tuple]
-    seed: StationaryDisc
-    t_current: float = 0.0
+# step policy of the homotopy march: the first step, the step below which
+# the path counts as stalled, and the most accepted steps before giving up
+_INITIAL_STEP = 0.1
+_MIN_STEP = 1e-6
+_MAX_STEPS = 500
 
 
 @dataclass
@@ -156,9 +144,9 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
     )
 
 
-def _holder_estimate(f: FourierDisc, n_pts: int = 128) -> float:
+def _holder_estimate(f: FourierDisc) -> float:
     M = max(_next_pow2(4 * (f.k_max + 1)), 256)
-    return _holder_constant(f.boundary_values(M), n_pts)
+    return _holder_constant(f.boundary_values(M), 128)
 
 
 def _trace_row(t: float, step: float, disc: StationaryDisc) -> dict:
@@ -172,39 +160,32 @@ def _trace_row(t: float, step: float, disc: StationaryDisc) -> dict:
     }
 
 
-def continue_path(
-    problem: HomotopyProblem,
-    config: ContinuationConfig = None,
-    newton: NewtonConfig = None,
-) -> PathResult:
-    """March t from the problem's current value to 1 with adaptive steps.
+def continue_path(family, seed: StationaryDisc, newton: NewtonConfig) -> PathResult:
+    """Carry seed, a disc of family(0), to a disc of family(1); family(t)
+    gives the (defining function, Constraint) of the homotopy at t.
 
-    Order-0 predictor (previous disc seeds the next solve); failed Newton
-    corrections halve the step, quick ones (<= 3 iterations) grow it by
-    1.5x up to 0.2.  A step below min_step ends the path with status
-    "step_underflow" and the last good disc; it is the caller's decision
-    whether that is an error.
+    A seed whose residual at t = 1 is already below newton.tol_res is
+    accepted as it is; otherwise one direct Newton solve at t = 1 is
+    tried, and only when that fails is t marched from 0 with adaptive
+    steps.  Order-0 predictor (previous disc seeds the next solve); failed
+    Newton corrections halve the step, quick ones (<= 3 iterations) grow
+    it by 1.5x up to 0.2.  A step below _MIN_STEP ends the path with
+    status "step_underflow" and the last good disc; it is the caller's
+    decision whether that is an error.
     """
-    config = config or ContinuationConfig()
-    newton = newton or NewtonConfig(tol_res=config.tol_res)
-    t = problem.t_current
-    disc = problem.seed
-    trace = []
-
     # a seed that already satisfies the end-of-path system is accepted
     # directly; this is the constant-family fast path
-    r1, con1 = problem.family(1.0)
-    con1 = Constraint(con1.mode, con1.vector, float(disc.multiplier))
+    r1, con1 = family(1.0)
+    con1 = Constraint(con1.mode, con1.vector, float(seed.multiplier))
     try:
         rn = residual(
-            r1, con1, disc.f, disc.q.band(-newton.N, newton.N)
+            r1, con1, seed.f, seed.q.band(-newton.N, newton.N)
         ).blended_norm()
     except (LeftDomain, NoConvergence):
         rn = np.inf
-    if rn < config.tol_res:
-        accepted = replace(disc, residual_norm=rn, diagnostics=dict(disc.diagnostics))
-        trace.append(_trace_row(1.0, 1.0 - t, accepted))
-        return PathResult("ok", accepted, 1.0, trace)
+    if rn < newton.tol_res:
+        accepted = replace(seed, residual_norm=rn, diagnostics=dict(seed.diagnostics))
+        return PathResult("ok", accepted, 1.0, [_trace_row(1.0, 1.0, accepted)])
 
     # next cheapest outcome: one direct Newton solve at the end of the path;
     # the march below is the fallback when the seed is too far out.  The
@@ -213,26 +194,26 @@ def continue_path(
     if np.isfinite(rn):
         direct = replace(newton, max_iter=12, max_halvings=3)
         try:
-            cand = newton_solve(r1, con1, disc, direct)
-            trace.append(_trace_row(1.0, 1.0 - t, cand))
-            return PathResult("ok", cand, 1.0, trace)
+            cand = newton_solve(r1, con1, seed, direct)
+            return PathResult("ok", cand, 1.0, [_trace_row(1.0, 1.0, cand)])
         except (NoConvergence, LeftDomain, NonConstantPairing):
             pass
 
-    step = config.initial_step
+    t, disc, trace = 0.0, seed, []
+    step = _INITIAL_STEP
     n_steps = 0
     while t < 1.0:
-        if n_steps >= config.max_steps:
+        if n_steps >= _MAX_STEPS:
             raise NoConvergence(
-                f"continuation exceeded {config.max_steps} steps at t = {t:.4f}"
+                f"continuation exceeded {_MAX_STEPS} steps at t = {t:.4f}"
             )
         t_try = min(1.0, t + step)
-        r_t, con_t = problem.family(t_try)
+        r_t, con_t = family(t_try)
         try:
             cand = newton_solve(r_t, con_t, disc, newton)
         except (NoConvergence, LeftDomain, NonConstantPairing):
             step *= 0.5
-            if step < config.min_step:
+            if step < _MIN_STEP:
                 return PathResult("step_underflow", disc, t, trace)
             continue
         n_steps += 1
@@ -249,7 +230,6 @@ def solve_extremal(
     domain: DomainSpec,
     z,
     constraint: Constraint,
-    config: ContinuationConfig = None,
     newton: NewtonConfig = None,
 ) -> StationaryDisc:
     """Extremal disc of a bounded domain through z, by continuation from
@@ -262,8 +242,7 @@ def solve_extremal(
     in its diagnostics.  Raises StepUnderflow (with the partial path
     attached) when the continuation stalls.
     """
-    config = config or ContinuationConfig()
-    newton = newton or NewtonConfig(tol_res=config.tol_res)
+    newton = newton or NewtonConfig()
     z = np.asarray(z, dtype=complex)
     if z.shape != (domain.n,):
         raise DomainViolation(f"base point must have {domain.n} components")
@@ -308,7 +287,7 @@ def solve_extremal(
                 if attempt == 2:
                     raise
                 continue
-            path = continue_path(HomotopyProblem(family, seed, 0.0), config, nwt)
+            path = continue_path(family, seed, nwt)
             if path.status != "ok":
                 if attempt == 2:
                     raise StepUnderflow(

@@ -13,6 +13,7 @@ so numpy's fft of a value grid divided by M recovers a_k at index k mod M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,11 +49,6 @@ class FourierDisc:
     @property
     def k_max(self) -> int:
         return self.k_min + self.coeffs.shape[0] - 1
-
-    @property
-    def N(self) -> int:
-        """Truncation order (largest represented frequency)."""
-        return self.k_max
 
     @property
     def target_shape(self) -> tuple:
@@ -128,9 +124,6 @@ class FourierDisc:
             return self.coeffs[k - self.k_min]
         return np.zeros(self.target_shape, dtype=complex)
 
-    def component(self, j: int) -> "FourierDisc":
-        return FourierDisc(self.coeffs[:, j], self.k_min)
-
     # -- arithmetic that stays in one band ----------------------------------
 
     def __add__(self, other: "FourierDisc") -> "FourierDisc":
@@ -181,6 +174,12 @@ class FourierDisc:
 def unit_grid(M: int) -> np.ndarray:
     """The M points exp(2*pi*i*j/M), j = 0..M-1."""
     return np.exp(2j * np.pi * np.arange(M) / M)
+
+
+def _next_pow2(x: int) -> int:
+    """The smallest power of two >= x, and at least 2: the size of every
+    sampling grid."""
+    return 1 << max(int(math.ceil(math.log2(max(x, 2)))), 1)
 
 
 def evaluate(u: FourierDisc, zeta) -> np.ndarray:

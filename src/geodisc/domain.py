@@ -196,30 +196,6 @@ def wirtinger(grad: np.ndarray, hess: np.ndarray):
     return r_z, r_zz, r_zzbar
 
 
-def complex_derivatives(r, point):
-    """(r_z, r_zz, r_zzbar) at one or many complex points."""
-    _, grad, hess = r.value_gradient_hessian(_as_real_point(point, r.n))
-    return wirtinger(grad, hess)
-
-
-def unit_normal(r, a) -> np.ndarray:
-    """Outward unit normal nu = grad r / |grad r| as a complex vector.
-
-    Requires a to sit on {r = 0} within 1e-9*(1+|grad r|); raises
-    DomainViolation otherwise and DegenerateGradient when the gradient is
-    numerically zero.
-    """
-    X = _as_real_point(a, r.n)
-    val, grad, _ = r.value_gradient_hessian(X)
-    g = complex_coords(grad)  # 2*dr/dzbar
-    gn = np.linalg.norm(g, axis=-1)
-    if np.any(gn < 1e-8):
-        raise DegenerateGradient("defining-function gradient vanishes at the point")
-    if np.any(np.abs(val) > 1e-9 * (1.0 + gn)):
-        raise DomainViolation("point is not on the boundary {r = 0}")
-    return g / gn[..., None]
-
-
 # ---------------------------------------------------------------------------
 # Minkowski gauge
 # ---------------------------------------------------------------------------
@@ -343,9 +319,9 @@ class DomainSpec:
 
     # -- geometry ------------------------------------------------------------
 
-    def contains(self, z, margin: float = 0.0) -> bool:
+    def contains(self, z) -> bool:
         X = _as_real_point(z, self.n)
-        return bool(np.all(self.defining.value(X) < -margin))
+        return bool(np.all(self.defining.value(X) < 0.0))
 
     def boundary_radius_range(self):
         """(min, max) of the boundary radius 1/mu(u) over 4096 sampled

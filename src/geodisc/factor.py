@@ -18,6 +18,7 @@ import numpy as np
 
 from .disc import (
     FourierDisc,
+    _next_pow2,
     analytic_completion,
     real_field,
     unit_grid,
@@ -113,7 +114,7 @@ def spectral_factorize(
     p = beta.target_shape[0]
     if N_work is None:
         N_work = max(2 * max(abs(beta.k_min), beta.k_max), 32)
-    M = 1 << max(int(np.ceil(np.log2(max(8 * N_work, 512)))), 9)
+    M = _next_pow2(max(8 * N_work, 512))
 
     Bv = beta.boundary_values(M)
     _check_beta(beta, Bv)
@@ -195,7 +196,7 @@ def scalar_outer_factor(beta: FourierDisc, N_work: int = 64) -> FourierDisc:
     positive field; the independent route for 1x1 factorizations."""
     if beta.target_shape not in ((), (1, 1)):
         raise ValueError("scalar_outer_factor expects a scalar field")
-    M = 1 << max(int(np.ceil(np.log2(max(8 * N_work, 512)))), 9)
+    M = _next_pow2(max(8 * N_work, 512))
     vals = beta.boundary_values(M).reshape(M)
     if np.max(np.abs(vals.imag)) > 1e-9 or np.min(vals.real) <= 0:
         raise NotPositive("scalar field is not positive on the circle")

@@ -19,9 +19,9 @@ import numpy as np
 from . import disc as dc
 from .domain import DomainSpec
 from .errors import DomainViolation, NewtonFailure, WindingNotOne
-from .continuation import ContinuationConfig, solve_extremal
+from .continuation import solve_extremal
 from .stationary import (
-    Constraint, EReport, G_disc, NewtonConfig, StationaryDisc, _G_winding, verify_E,
+    Constraint, EReport, NewtonConfig, StationaryDisc, _G_winding, verify_E,
 )
 
 
@@ -116,8 +116,7 @@ def _certify(domain: DomainSpec, disc: StationaryDisc, z) -> dict:
 
 def lempert_distance(
     domain: DomainSpec, z, w,
-    config: ContinuationConfig = None, newton: NewtonConfig = None,
-    disc: StationaryDisc = None,
+    newton: NewtonConfig = None, disc: StationaryDisc = None,
 ) -> tuple:
     """Lempert function value atanh(xi) with a left-inverse certificate.
 
@@ -128,7 +127,7 @@ def lempert_distance(
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if disc is None:
-        disc = solve_extremal(domain, z, Constraint("two-point", w), config, newton)
+        disc = solve_extremal(domain, z, Constraint("two-point", w), newton)
     xi = float(disc.multiplier)
     value = float(np.arctanh(xi))
     cert = _certify(domain, disc, z)
@@ -149,8 +148,7 @@ def lempert_distance(
 
 def kobayashi_royden(
     domain: DomainSpec, z, v,
-    config: ContinuationConfig = None, newton: NewtonConfig = None,
-    disc: StationaryDisc = None,
+    newton: NewtonConfig = None, disc: StationaryDisc = None,
 ) -> tuple:
     """Infinitesimal metric kappa(z; v) = 1/lambda with certificate.
 
@@ -161,7 +159,7 @@ def kobayashi_royden(
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if disc is None:
-        disc = solve_extremal(domain, z, Constraint("direction", v), config, newton)
+        disc = solve_extremal(domain, z, Constraint("direction", v), newton)
     lam = float(disc.multiplier)
     value = 1.0 / lam
     cert = _certify(domain, disc, z)

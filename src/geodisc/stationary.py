@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import disc as dc
-from .disc import FourierDisc, unit_grid
+from .disc import FourierDisc, _next_pow2, unit_grid
 from .domain import DomainSpec, complex_coords, real_coords, wirtinger
 from .errors import (
     ContractionFailure,
@@ -38,10 +38,6 @@ from .errors import (
 from .factor import SpectralFactor, _top_singular, spectral_factorize
 
 PAIRING_TOL = 1e-8
-
-
-def _next_pow2(x: int) -> int:
-    return 1 << max(int(math.ceil(math.log2(max(x, 2)))), 1)
 
 
 def _poly_degree(r) -> int:
@@ -232,7 +228,7 @@ def residual(r, constraint: Constraint, f: FourierDisc, q: FourierDisc) -> Resid
     zeta*(1+q)*(r_z o f), and the constraint defect.
 
     The multiplier is read from the constraint.  Bands follow the
-    truncation order N = q.N.
+    truncation order N = q.k_max.
     """
     if constraint.multiplier is None:
         raise InvalidConstraint("constraint carries no multiplier value")

@@ -231,6 +231,18 @@ def test_solve_rejects_bad_inputs(tmp_path, ball_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", [["--tol-res", "0"], ["--tol-res=-1e-10"], ["--tol-res", "nan"]],
+                         ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("command", [["solve", "--from", "0,0", "--to", "0.3,0"],
+                                     ["table", "--grid", "0,0;0.3,0"]], ids=["solve", "table"])
+def test_nonpositive_tol_res_exits_one(tmp_path, ball_file, capsys, command, tol):
+    out = tmp_path / "out"
+    argv = command[:1] + [ball_file] + command[1:] + tol + ["--output", str(out)]
+    assert cli.main(argv) == 1
+    assert "tol_res must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_usage_errors_exit_one(ball_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", ball_file, "--from", "0,0"])

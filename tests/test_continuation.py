@@ -5,8 +5,6 @@ import pytest
 
 from geodisc import continuation
 from geodisc.continuation import (
-    ContinuationConfig,
-    HomotopyProblem,
     ball_seed,
     continue_path,
     mobius_ball,
@@ -116,11 +114,7 @@ def test_constant_family_returns_in_one_step():
     r = axis_ball_defining(2)
     con = Constraint("two-point", np.array([0.25, 0.0]))
     seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
-    path = continue_path(
-        HomotopyProblem(lambda t: (r, con), seed, 0.0),
-        ContinuationConfig(),
-        NewtonConfig(N=16),
-    )
+    path = continue_path(lambda t: (r, con), seed, NewtonConfig(N=16))
     assert path.status == "ok"
     assert path.t_reached == 1.0
     assert len(path.trace) == 1

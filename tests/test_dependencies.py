@@ -1,5 +1,6 @@
 """The runtime depends on numpy alone: every module of the package imports
-only the standard library, numpy and geodisc itself."""
+only the standard library, numpy and geodisc itself, and uses every name
+it imports."""
 
 import ast
 import sys
@@ -29,3 +30,20 @@ def test_the_package_sources_are_found():
 def test_imports_are_stdlib_numpy_or_geodisc(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert set(imported_roots(tree)) <= ALLOWED
+
+
+def unused_imports(tree):
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []

@@ -10,17 +10,16 @@ from geodisc.domain import (
     DomainSpec,
     PolynomialDefiningFunction,
     complex_coords,
-    complex_derivatives,
     domain_to_dict,
     homotopy_domain,
     load_domain,
     minkowski,
     real_coords,
-    unit_normal,
     verify_convexity,
     wirtinger,
 )
 from geodisc.errors import DegenerateGradient, DomainViolation, NoConvergence
+from geodisc.stationary import _unit_normal
 
 
 def ball(n=2):
@@ -159,26 +158,28 @@ def test_wirtinger_hermitian_symmetry():
 
 def test_ellipsoid_complex_gradient():
     r = PolynomialDefiningFunction.ellipsoid([1.0, 2.0])
-    r_z, _, _ = complex_derivatives(r, np.array([0.0, 2.0 + 0j]))
+    X = real_coords(np.array([0.0, 2.0 + 0j]))
+    r_z, _, _ = wirtinger(*r.value_gradient_hessian(X)[1:])
     assert np.allclose(r_z, [0.0, 0.5])
 
 
 def test_unit_normal_ball():
     d = ball()
-    assert np.allclose(unit_normal(d.defining, np.array([1.0 + 0j, 0.0])), [1.0, 0.0])
-    assert np.allclose(unit_normal(d.defining, np.array([0.0, 1j])), [0.0, 1j])
+    _, _, nu = _unit_normal(d.defining, np.array([[1.0 + 0j, 0.0], [0.0, 1j]]))
+    assert np.allclose(nu, [[1.0, 0.0], [0.0, 1j]])
 
 
 def test_unit_normal_ellipsoid():
     d = ellipsoid([1.0, 2.0])
-    nu = unit_normal(d.defining, np.array([0.0, 2.0 + 0j]))
-    assert np.allclose(nu, [0.0, 1.0])
+    val, _, nu = _unit_normal(d.defining, np.array([[0.0, 2.0 + 0j]]))
+    assert np.allclose(val, 0.0)
+    assert np.allclose(nu, [[0.0, 1.0]])
 
 
 def test_unit_normal_degenerate():
     d = ball()
     with pytest.raises(DegenerateGradient):
-        unit_normal(d.defining, np.array([0.0 + 0j, 0.0]))
+        _unit_normal(d.defining, np.array([[0.0 + 0j, 0.0]]))
 
 
 def test_minkowski_ball():

@@ -2,24 +2,25 @@
 Kobayashi-Royden metric, left inverses, and the certificate gaps."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from geodisc import disc as dc
-from geodisc import metrics, stationary
+from geodisc import stationary
+from geodisc.continuation import solve_extremal
 from geodisc.disc import FourierDisc
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
 from geodisc.errors import DomainViolation, WindingNotOne
 from geodisc.metrics import (
-    G_disc,
     geodesic_consistency,
     kobayashi_royden,
     left_inverse,
     lempert_distance,
     poincare,
 )
-from geodisc.stationary import axis_ball_defining, disc_from_f
+from geodisc.stationary import G_disc, NewtonConfig, axis_ball_defining, disc_from_f
 
 
 def ball_domain(n=2):
@@ -274,6 +275,22 @@ def test_supplied_disc_skips_the_solve():
     assert res2.value == pytest.approx(ball_formula(z, w), abs=1e-12)
 
 
+def test_newton_config_is_the_one_solver_setting():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(lempert_distance) == ["domain", "z", "w", "newton", "disc"]
+    assert params(kobayashi_royden) == ["domain", "z", "v", "newton", "disc"]
+    assert params(solve_extremal) == ["domain", "z", "constraint", "newton"]
+    assert [f.name for f in dataclasses.fields(NewtonConfig)] == [
+        "N", "tol_res", "max_iter", "max_halvings",
+    ]
+    z, w = np.array([0.3, 0.0]), np.array([0.0, 0.3])
+    res, disc = lempert_distance(ball_domain(), z, w, newton=NewtonConfig(N=16))
+    assert disc.f.k_max == 16 + 1
+    assert res.value == pytest.approx(ball_formula(z, w), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Kobayashi-Royden metric
 # ---------------------------------------------------------------------------
@@ -308,12 +325,13 @@ def test_ellipsoid_metric_along_the_long_axis():
 
 def count_G_builds(monkeypatch):
     calls = []
-    for module in (stationary, metrics):
-        def counted(*args, _orig=module.G_disc):
-            calls.append(1)
-            return _orig(*args)
+    real = stationary.G_disc
 
-        monkeypatch.setattr(module, "G_disc", counted)
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(stationary, "G_disc", counted)
     return calls
 
 

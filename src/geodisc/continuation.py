@@ -128,9 +128,8 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
     qc[N] -= np.sum(qc).real
     q = FourierDisc(qc, -N)
 
-    con = Constraint(constraint.mode, constraint.vector, mult)
     r_ball = PolynomialDefiningFunction.unit_ball(n)
-    parts = residual(r_ball, con, f, q)
+    parts = residual(r_ball, constraint, f, q, mult)
     return StationaryDisc(
         f=f,
         f_tilde=f_tilde,
@@ -138,7 +137,7 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
         q=q,
         multiplier=mult,
         mode=constraint.mode,
-        constraint_vector=con.vector,
+        constraint_vector=constraint.vector,
         residual_norm=parts.blended_norm(),
         diagnostics={"seed": "ball", "newton_iters": 0},
     )
@@ -176,10 +175,9 @@ def continue_path(family, seed: StationaryDisc, newton: NewtonConfig) -> PathRes
     # a seed that already satisfies the end-of-path system is accepted
     # directly; this is the constant-family fast path
     r1, con1 = family(1.0)
-    con1 = Constraint(con1.mode, con1.vector, float(seed.multiplier))
     try:
         rn = residual(
-            r1, con1, seed.f, seed.q.band(-newton.N, newton.N)
+            r1, con1, seed.f, seed.q.band(-newton.N, newton.N), seed.multiplier
         ).blended_norm()
     except (LeftDomain, NoConvergence):
         rn = np.inf
@@ -305,8 +303,7 @@ def solve_extremal(
     f = disc_s.f * sigma
     f_tilde = disc_s.f_tilde * (1.0 / sigma)
     rho = disc_s.rho * (1.0 / sigma)
-    con_final = Constraint(constraint.mode, constraint.vector, disc_s.multiplier)
-    rn = residual(domain.defining, con_final, f, disc_s.q).blended_norm()
+    rn = residual(domain.defining, constraint, f, disc_s.q, disc_s.multiplier).blended_norm()
     return replace(
         disc_s, f=f, f_tilde=f_tilde, rho=rho,
         constraint_vector=np.asarray(constraint.vector, dtype=complex),

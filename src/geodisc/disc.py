@@ -25,6 +25,8 @@ from .errors import AmbiguousWinding, DomainViolation, NotReal, ZeroOnCircle
 CIRCLE_TOL = 1e-9
 # Reality / symmetry tolerance for coefficient checks:
 REALITY_TOL = 1e-10
+# Smallest modulus a curve may reach on the circle and still get a winding number:
+MIN_MODULUS = 1e-8
 
 
 @dataclass
@@ -168,6 +170,9 @@ class FourierDisc:
         coeffs = np.zeros((k_max - k_min + 1, m), dtype=complex)
         for e in entries:
             coeffs[int(e["k"]) - k_min] = np.asarray(e["re"]) + 1j * np.asarray(e["im"])
+        bad = np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite coefficient at k = {k_min + int(bad[0])}")
         return FourierDisc(coeffs.reshape(-1, *target_shape), k_min)
 
 
@@ -244,7 +249,7 @@ def dot_product(u: FourierDisc, v: FourierDisc) -> FourierDisc:
     return FourierDisc(conv, u.k_min + v.k_min)
 
 
-def check_real(u: FourierDisc, tol: float = REALITY_TOL) -> float:
+def check_real(u: FourierDisc) -> float:
     """Max asymmetry |a_{-k} - conj(a_k)| (and |Im a_0|); raises NotReal."""
     asym = 0.0
     for k in range(0, max(abs(u.k_min), u.k_max) + 1):
@@ -253,8 +258,8 @@ def check_real(u: FourierDisc, tol: float = REALITY_TOL) -> float:
         else:
             d = u.coefficient(-k) - np.conj(u.coefficient(k))
             asym = max(asym, float(np.max(np.abs(d), initial=0.0)))
-    if asym > tol:
-        raise NotReal(f"field asymmetry {asym:.3e} exceeds {tol:.0e}")
+    if asym > REALITY_TOL:
+        raise NotReal(f"field asymmetry {asym:.3e} exceeds {REALITY_TOL:.0e}")
     return asym
 
 
@@ -270,23 +275,23 @@ def real_field(values: np.ndarray, N: int) -> FourierDisc:
     return FourierDisc(sym, -N)
 
 
-def analytic_completion(eta: FourierDisc, normalization: float = 0.0) -> FourierDisc:
-    """The holomorphic-type G with Re G = eta on the circle.
+def analytic_completion(eta: FourierDisc) -> FourierDisc:
+    """The holomorphic-type G with Re G = eta on the circle and G(0) real.
 
-    G = a_0 + 2 sum_{k>=1} a_k zeta^k + i*normalization.  Requires eta real
+    G = a_0 + 2 sum_{k>=1} a_k zeta^k.  Requires eta real
     (coefficient symmetry within 1e-10), else NotReal.  cos t -> zeta,
     sin t -> -i zeta, constants stay put.
     """
     check_real(eta)
     k_hi = max(eta.k_max, 0)
     coeffs = np.zeros((k_hi + 1, *eta.target_shape), dtype=complex)
-    coeffs[0] = np.real(eta.coefficient(0)) + 1j * normalization
+    coeffs[0] = np.real(eta.coefficient(0))
     for k in range(1, k_hi + 1):
         coeffs[k] = 2.0 * eta.coefficient(k)
     return FourierDisc(coeffs, 0)
 
 
-def winding_values(vals: np.ndarray, min_modulus: float = 1e-8) -> int:
+def winding_values(vals: np.ndarray) -> int:
     """Winding number of a sampled closed curve via phase increments.
 
     For curves that are not band-limited (values of a composite field on
@@ -296,7 +301,7 @@ def winding_values(vals: np.ndarray, min_modulus: float = 1e-8) -> int:
     """
     vals = np.asarray(vals, dtype=complex).ravel()
     mods = np.abs(vals)
-    if float(np.min(mods)) < min_modulus:
+    if float(np.min(mods)) < MIN_MODULUS:
         raise ZeroOnCircle(f"curve modulus dips to {np.min(mods):.3e}")
     steps = np.angle(np.roll(vals, -1) / vals)
     if float(np.max(np.abs(steps))) > 0.5 * np.pi:
@@ -308,11 +313,11 @@ def winding_values(vals: np.ndarray, min_modulus: float = 1e-8) -> int:
     return k
 
 
-def winding(u: FourierDisc, min_modulus: float = 1e-8) -> int:
+def winding(u: FourierDisc) -> int:
     """Winding number of a scalar field around 0 via trapezoid quadrature.
 
     Integrates u'/u over the circle on at least 8N samples.  Raises
-    ZeroOnCircle if |u| dips below min_modulus on the sample grid and
+    ZeroOnCircle if |u| dips below MIN_MODULUS on the sample grid and
     AmbiguousWinding if the quadrature is further than 0.25 from an
     integer.
     """
@@ -322,7 +327,7 @@ def winding(u: FourierDisc, min_modulus: float = 1e-8) -> int:
     M = max(8 * span, 512)
     vals = u.boundary_values(M)
     dvals = angular_derivative(u).boundary_values(M)
-    if float(np.min(np.abs(vals))) < min_modulus:
+    if float(np.min(np.abs(vals))) < MIN_MODULUS:
         raise ZeroOnCircle(
             f"field modulus dips to {np.min(np.abs(vals)):.3e} on the circle"
         )

@@ -558,6 +558,8 @@ def load_domain(obj: dict) -> DomainSpec:
     z0 = np.asarray(obj.get("z0", np.zeros(2 * n)), dtype=float)
     if z0.shape != (2 * n,):
         raise DomainViolation(f"z0 must have length {2*n}")
+    if not np.all(np.isfinite(z0)):
+        raise DomainViolation("z0 entries must be finite")
     label = obj.get("label", "")
 
     if kind == "ball":
@@ -568,8 +570,8 @@ def load_domain(obj: dict) -> DomainSpec:
         if "monomials" in obj:
             raise DomainViolation("ellipsoid kind must not carry monomials")
         a = np.asarray(obj["semiaxes"], dtype=float)
-        if a.shape != (n,) or np.any(a <= 0):
-            raise DomainViolation("semiaxes must be n positive reals")
+        if a.shape != (n,) or not np.all(np.isfinite(a) & (a > 0)):
+            raise DomainViolation("semiaxes must be n finite positive reals")
         return DomainSpec(
             n,
             "ellipsoid",
@@ -587,6 +589,8 @@ def load_domain(obj: dict) -> DomainSpec:
         for i, mono in enumerate(monos):
             if set(mono) != {"c", "p"}:
                 raise DomainViolation(f"monomial #{i} must have keys c and p")
+            if not np.isfinite(float(mono["c"])):
+                raise DomainViolation(f"monomial #{i}: coefficient c must be finite")
             if len(mono["p"]) != 2 * n or any(
                 int(e) < 0 or int(e) != e for e in mono["p"]
             ):

@@ -26,6 +26,11 @@ from .disc import (
 )
 from .errors import NoConvergence, NotPositive, NotSymmetric
 
+_SYMMETRY_TOL = 1e-12  # largest |A - A^T| entry symmetric_norm accepts
+_REFINE_ITERS = 200  # power-iteration polish of symmetric_norm_sampled
+_WILSON_MAX_ITER = 80  # Wilson steps of spectral_factorize
+_OUTER_BAND = 64  # band of log beta and of the factor in scalar_outer_factor
+
 
 @dataclass
 class SpectralFactor:
@@ -42,23 +47,21 @@ def _top_singular(A: np.ndarray) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
-def symmetric_norm(A, tol: float = 1e-12) -> float:
+def symmetric_norm(A) -> float:
     """sup_{|z|=1 in C^m} |z^T A z| for complex symmetric A.
 
     Equals the largest singular value of A.  Raises NotSymmetric when
-    ||A - A^T||_max exceeds tol.
+    ||A - A^T||_max exceeds _SYMMETRY_TOL.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric("expected a square matrix")
-    if float(np.max(np.abs(A - A.T))) > tol:
+    if float(np.max(np.abs(A - A.T))) > _SYMMETRY_TOL:
         raise NotSymmetric("matrix is not complex symmetric")
     return float(_top_singular(A))
 
 
-def symmetric_norm_sampled(
-    A, n_samples: int = 100_000, seed: int = 0, refine_iters: int = 200
-) -> float:
+def symmetric_norm_sampled(A, n_samples: int = 100_000, seed: int = 0) -> float:
     """Monte-Carlo estimate of sup |z^T A z|, polished by the quadratic
     power iteration z <- conj(A z)/|A z| from the best sample.
 
@@ -72,7 +75,7 @@ def symmetric_norm_sampled(
     vals = np.abs(np.einsum("si,ij,sj->s", Zs, A, Zs))
     best = float(np.max(vals))
     z = Zs[int(np.argmax(vals))]
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         w = np.conj(A @ z)
         nw = np.linalg.norm(w)
         if nw < 1e-300:
@@ -100,7 +103,6 @@ def spectral_factorize(
     beta: FourierDisc,
     tol: float = 1e-10,
     N_work: int = None,
-    max_iter: int = 80,
 ) -> SpectralFactor:
     """Wilson iteration for H with H H* = beta on the circle.
 
@@ -135,7 +137,7 @@ def spectral_factorize(
     res = residual_of(Hv)
     eye = np.eye(p)
 
-    for _ in range(max_iter):
+    for _ in range(_WILSON_MAX_ITER):
         if res < tol:
             break
         # W = H^{-1} beta H^{-*} + I on the grid
@@ -169,7 +171,7 @@ def spectral_factorize(
             )
     else:
         raise NoConvergence(
-            f"factorization did not reach tol {tol:.0e} in {max_iter} iterations"
+            f"factorization did not reach tol {tol:.0e} in {_WILSON_MAX_ITER} iterations"
         )
 
     spec_H = np.fft.fft(Hv, axis=0) / M
@@ -191,17 +193,17 @@ def spectral_factorize(
     return SpectralFactor(H=H, residual=res, min_det=min_det, det_winding=w)
 
 
-def scalar_outer_factor(beta: FourierDisc, N_work: int = 64) -> FourierDisc:
+def scalar_outer_factor(beta: FourierDisc) -> FourierDisc:
     """Outer function H = exp(analytic_completion(log beta)/2) for a scalar
     positive field; the independent route for 1x1 factorizations."""
     if beta.target_shape not in ((), (1, 1)):
         raise ValueError("scalar_outer_factor expects a scalar field")
-    M = _next_pow2(max(8 * N_work, 512))
+    M = _next_pow2(max(8 * _OUTER_BAND, 512))
     vals = beta.boundary_values(M).reshape(M)
     if np.max(np.abs(vals.imag)) > 1e-9 or np.min(vals.real) <= 0:
         raise NotPositive("scalar field is not positive on the circle")
-    log_field = real_field(np.log(vals.real), N_work)
+    log_field = real_field(np.log(vals.real), _OUTER_BAND)
     G = analytic_completion(log_field)
     Hv = np.exp(0.5 * G.boundary_values(M))
     spec = np.fft.fft(Hv, axis=0) / M
-    return FourierDisc(spec[: N_work + 1].copy().reshape(-1, 1, 1), 0)
+    return FourierDisc(spec[: _OUTER_BAND + 1].copy().reshape(-1, 1, 1), 0)

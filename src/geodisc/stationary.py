@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +37,9 @@ from .errors import (
 from .factor import SpectralFactor, _top_singular, spectral_factorize
 
 PAIRING_TOL = 1e-8
+# bound on the boundary defect and on the dual field's negative tail that
+# verify_E certifies
+CERT_TOL = 1e-9
 
 
 def _poly_degree(r) -> int:
@@ -61,11 +63,12 @@ def _grid_size(r, N: int) -> int:
 @dataclass
 class Constraint:
     """Either a direction constraint f'(0) = lambda*v or a two-point
-    constraint f(xi) = w.  mode is "direction" or "two-point"."""
+    constraint f(xi) = w.  mode is "direction" or "two-point"; the
+    multiplier lambda or xi is an unknown of the solve, not part of the
+    constraint."""
 
     mode: str
     vector: np.ndarray
-    multiplier: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in ("direction", "two-point"):
@@ -167,13 +170,10 @@ class LinearizedData:
     eta: FourierDisc
     phi: FourierDisc
     v_or_w: np.ndarray
-    alpha: FourierDisc
-    beta: FourierDisc
     H: SpectralFactor
     gamma: FourierDisc
     margin: float
     r0: object
-    eps_used: Optional[float] = None
 
 
 @dataclass
@@ -182,8 +182,6 @@ class ContractionReport:
     margin: float
     iterations: int
     max_ratio: float
-    ratios: list
-    final_diff: float
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +221,18 @@ def _c3_of(constraint: Constraint, f: FourierDisc, mult: float) -> np.ndarray:
     return f(complex(mult)) - constraint.vector
 
 
-def residual(r, constraint: Constraint, f: FourierDisc, q: FourierDisc) -> ResidualParts:
+def residual(
+    r, constraint: Constraint, f: FourierDisc, q: FourierDisc, mult: float
+) -> ResidualParts:
     """(c1, c2, c3): boundary defect r o f, the negative-frequency part of
-    zeta*(1+q)*(r_z o f), and the constraint defect.
+    zeta*(1+q)*(r_z o f), and the constraint defect at the multiplier mult.
 
-    The multiplier is read from the constraint.  Bands follow the
-    truncation order N = q.k_max.
+    Bands follow the truncation order N = q.k_max.
     """
-    if constraint.multiplier is None:
-        raise InvalidConstraint("constraint carries no multiplier value")
     N = q.k_max
     M = _grid_size(r, N)
     d = _field_data(r, f, q, M)
-    return _parts_from_grid(d, constraint, f, q, N)
+    return _parts_from_grid(d, constraint, f, q, mult, N)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +389,15 @@ def newton_solve(
     mult = float(seed.multiplier)
     x = layout.pack(f, qc, mult)
 
-    work = Constraint(constraint.mode, constraint.vector, mult)
-
     def eval_state(xv):
         fx, qx, mx = layout.unpack(xv, z0)
-        if work.mode == "two-point" and not (0.0 < mx < 1.0):
+        if constraint.mode == "two-point" and not (0.0 < mx < 1.0):
             raise LeftDomain(f"two-point multiplier left (0,1): {mx:.4f}")
-        if work.mode == "direction" and mx <= 0.0:
+        if constraint.mode == "direction" and mx <= 0.0:
             raise LeftDomain(f"direction multiplier must stay positive: {mx:.4f}")
         M = _grid_size(r, N)
         d = _field_data(r, fx, qx, M)
-        work.multiplier = mx
-        parts = _parts_from_grid(d, work, fx, qx, N)
+        parts = _parts_from_grid(d, constraint, fx, qx, mx, N)
         return fx, qx, mx, d, parts
 
     fx, qx, mx, d, parts = eval_state(x)
@@ -416,7 +410,7 @@ def newton_solve(
             raise NoConvergence(
                 f"Newton did not reach tol {config.tol_res:.0e} in {config.max_iter} iterations"
             )
-        J = _jacobian(layout, d, work, fx, mx)
+        J = _jacobian(layout, d, constraint, fx, mx)
         rhs = -layout.residual_vector(parts)
         try:
             dx = np.linalg.solve(J, rhs)
@@ -449,14 +443,14 @@ def newton_solve(
     return disc_out
 
 
-def _parts_from_grid(d, constraint: Constraint, f, q, N) -> ResidualParts:
+def _parts_from_grid(d, constraint: Constraint, f, q, mult, N) -> ResidualParts:
     M = d["M"]
     spec1 = np.fft.fft(d["val"]) / M
     ks = np.arange(-N, N + 1)
     c1 = spec1[ks % M]
     c1 = 0.5 * (c1 + np.conj(c1[::-1]))
     neg = d["field_spec"][(-np.arange(1, N + 1)) % M]
-    c3 = _c3_of(constraint, f, float(constraint.multiplier))
+    c3 = _c3_of(constraint, f, float(mult))
     q1 = float(np.real(np.sum(q.coeffs)))
     return ResidualParts(
         c1=FourierDisc(c1, -N), c2=FourierDisc(neg[::-1], -N), c3=c3, q1=q1
@@ -627,8 +621,8 @@ def disc_from_f(r, f: FourierDisc, mode: str, multiplier: float, vector) -> Stat
     ratio = rho_vals * gn
     q_vals = ratio / ratio[0] - 1.0
     q = dc.real_field(q_vals, N)
-    con = Constraint(mode, vector, multiplier)
-    parts = residual(r, con, f, q)
+    con = Constraint(mode, vector)
+    parts = residual(r, con, f, q, multiplier)
     return StationaryDisc(
         f=f,
         f_tilde=f_tilde,
@@ -649,6 +643,8 @@ def disc_from_f(r, f: FourierDisc, mode: str, multiplier: float, vector) -> Stat
 
 @dataclass
 class EReport:
+    """The E-mapping certificates of a disc; passed is set from them."""
+
     sup_boundary_defect: float
     dual_tail_sup: float
     dual_tail_w: float
@@ -657,7 +653,28 @@ class EReport:
     wind_G: int
     holder_constant: float
     pairing_deviation: float
-    passed: bool
+    passed: bool = dc_field(init=False)
+
+    def __post_init__(self):
+        self.passed = not self.violations()
+
+    def violations(self) -> list:
+        """One message per failed certificate, in report order.  Each test
+        is written as a pass condition under `not`, so a NaN fails it."""
+        out = []
+        if not self.sup_boundary_defect < CERT_TOL:
+            out.append(f"boundary defect {self.sup_boundary_defect:.3e} exceeds {CERT_TOL:.0e}")
+        if not self.dual_tail_sup < CERT_TOL:
+            out.append(f"dual field negative tail {self.dual_tail_sup:.3e} exceeds {CERT_TOL:.0e}")
+        if not self.min_rho > 0:
+            out.append(f"rho is not positive (min {self.min_rho:.3e})")
+        if self.wind_phi != 0:
+            out.append(f"wind phi_z = {self.wind_phi}, expected 0")
+        if self.wind_G != 1:
+            out.append(f"wind G(z, .) = {self.wind_G}, expected 1")
+        if not np.isfinite(self.holder_constant):
+            out.append("Holder constant is not finite")
+        return out
 
 
 def G_disc(disc: StationaryDisc, z) -> FourierDisc:
@@ -717,15 +734,6 @@ def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
     holder = _holder_constant(fv, 384)
     M2 = max(4 * (disc.f.k_max + disc.f_tilde.k_max + 2), 256)
     _, pairing_dev, _ = _pairing(disc.f, disc.f_tilde, M2, c0=1.0)
-
-    passed = (
-        sup_r < 1e-9
-        and dual_tail_sup < 1e-9
-        and min_rho > 0
-        and wind_phi == 0
-        and wind_G == 1
-        and np.isfinite(holder)
-    )
     return EReport(
         sup_boundary_defect=sup_r,
         dual_tail_sup=dual_tail_sup,
@@ -735,13 +743,18 @@ def verify_E(domain, disc: StationaryDisc, z_probe) -> EReport:
         wind_G=wind_G,
         holder_constant=holder,
         pairing_deviation=pairing_dev,
-        passed=bool(passed),
     )
 
 
 # ---------------------------------------------------------------------------
 # linearization at the axis disc
 # ---------------------------------------------------------------------------
+
+_AXIS_GRID = 512  # grid on which linearized_data freezes the coefficient fields
+# stop of the contraction iteration: update norm below _CONTRACTION_TOL
+# times max(|a|, 1), within _CONTRACTION_MAX_ITER iterations
+_CONTRACTION_TOL = 1e-13
+_CONTRACTION_MAX_ITER = 500
 
 
 def axis_ball_defining(n: int):
@@ -781,7 +794,7 @@ def _trim(u: FourierDisc, tol: float = 1e-13) -> FourierDisc:
     return FourierDisc(u.coeffs[lo : hi + 1].copy(), u.k_min + int(lo))
 
 
-def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512) -> LinearizedData:
+def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w) -> LinearizedData:
     """Freeze the coefficient fields of the linearization at the axis disc.
 
     alpha = zeta^2 * (second holomorphic derivatives in the hatted
@@ -789,11 +802,11 @@ def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512
     gamma = H^{-1} alpha H^{-T}.  Raises ContractionFailure if
     sup ||gamma|| >= 1 (no contraction margin).
     """
+    M = _AXIS_GRID
     Z, r_z, r_zz, r_zzbar = _axis_grid_data(r0, M)
     alpha_v = (Z**2)[:, None, None] * r_zz[:, 1:, 1:]
     beta_v = r_zzbar[:, 1:, 1:]
     band = M // 4
-    alpha = _trim(FourierDisc.from_boundary_values(alpha_v, -band, band))
     beta = _trim(FourierDisc.from_boundary_values(beta_v, -band, band))
     H = spectral_factorize(beta.band(min(beta.k_min, -1), max(beta.k_max, 1)))
     Hv = H.H.boundary_values(M)
@@ -813,8 +826,6 @@ def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512
         eta=eta,
         phi=phi,
         v_or_w=np.asarray(v_or_w, dtype=complex),
-        alpha=alpha,
-        beta=beta,
         H=H,
         gamma=gamma,
         margin=margin,
@@ -822,22 +833,14 @@ def linearized_data(r0, eta: FourierDisc, phi: FourierDisc, v_or_w, M: int = 512
     )
 
 
-def contraction_solve_report(
-    gamma: FourierDisc,
-    rhs: FourierDisc,
-    a,
-    eps: float = None,
-    tol: float = 1e-13,
-    xi0: float = None,
-    max_iter: int = 500,
-):
+def contraction_solve_report(gamma: FourierDisc, rhs: FourierDisc, a, xi0: float = None):
     """Fixed point of h -> P(rhs - gamma*h) + a in holomorphic type.
 
     Solves the reflected holomorphy condition: gamma*h + conj(h) - rhs has
     no negative frequencies, with the value constraint h(0) = a (or
     h(xi0) = a via the Mobius involution when xi0 is given).  Returns
-    (h, ContractionReport) with the measured per-iteration eps-norm ratios
-    and the selected eps.
+    (h, ContractionReport) with the selected eps and the largest measured
+    per-iteration eps-norm ratio.
     """
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     p = a.shape[0]
@@ -897,7 +900,7 @@ def contraction_solve_report(
     scale = max(float(np.linalg.norm(a)), 1.0)
     converged = False
     its = 0
-    for it in range(max_iter):
+    for it in range(_CONTRACTION_MAX_ITER):
         spec_h = np.zeros((M, p), dtype=complex)
         spec_h[: N_work + 1] = hc
         hv = np.fft.ifft(spec_h, axis=0) * M
@@ -919,13 +922,13 @@ def contraction_solve_report(
         )
         hc = hc_new
         its = it + 1
-        if diffs[-1][0] <= tol * scale:
+        if diffs[-1][0] <= _CONTRACTION_TOL * scale:
             converged = True
             break
     if not converged:
         raise NoConvergence(
-            f"contraction did not reach tol {tol:.0e} in {max_iter} iterations "
-            f"(margin {margin:.3f})"
+            f"contraction did not reach tol {_CONTRACTION_TOL:.0e} in "
+            f"{_CONTRACTION_MAX_ITER} iterations (margin {margin:.3f})"
         )
 
     # eps selection: largest dyadic eps whose measured ratios stay below
@@ -949,41 +952,28 @@ def contraction_solve_report(
 
     chosen = None
     ratio = 0.0
-    if eps is not None:
-        chosen, ratio = eps, max_ratio(eps)
-    else:
-        for j in range(0, 41):
-            e = 0.5**j
-            rr = max_ratio(e)
-            if rr <= target:
-                chosen, ratio = e, rr
-                break
-        if chosen is None:
-            chosen, ratio = 0.0, max_ratio(0.0)
-
-    ratios = []
-    for d0, d1 in usable:
-        den = d0[0] + chosen * d0[1] + chosen**2 * d0[2]
-        num = d1[0] + chosen * d1[1] + chosen**2 * d1[2]
-        if den > 0:
-            ratios.append(num / den)
+    for j in range(0, 41):
+        e = 0.5**j
+        rr = max_ratio(e)
+        if rr <= target:
+            chosen, ratio = e, rr
+            break
+    if chosen is None:
+        chosen, ratio = 0.0, max_ratio(0.0)
 
     h = FourierDisc(hc, 0)
     if xi0 is not None:
-        Z = unit_grid(M)
-        tz = (xi0 - Z) / (1.0 - xi0 * Z)
         hv_back = dc.evaluate(h, tz)
         spec_b = np.fft.fft(hv_back, axis=0) / M
         h = FourierDisc(spec_b[: N_work + 1].copy(), 0)
-    h = _trim(h, tol=1e-15).band(0, max(_trim(h, tol=1e-15).k_max, 0))
+    h = _trim(h, tol=1e-15)
+    h = h.band(0, max(h.k_max, 0))
 
     report = ContractionReport(
         eps=float(chosen),
         margin=margin,
         iterations=its,
         max_ratio=float(ratio),
-        ratios=ratios,
-        final_diff=diffs[-1][0],
     )
     return h, report
 
@@ -1040,7 +1030,6 @@ def solve_linearized_at_axis(data: LinearizedData, mode: str, xi0: float = None)
     rhs = _trim(FourierDisc.from_boundary_values(rhs_v, -band, band), tol=1e-14)
 
     h, report = contraction_solve_report(data.gamma, rhs, a, xi0=xi0)
-    data.eps_used = report.eps
     if report.max_ratio >= 1.0:
         raise ContractionFailure(
             f"measured contraction ratio {report.max_ratio:.4f} reached 1"

@@ -2,6 +2,7 @@
 JSON, and the four subcommands end to end through main()."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -15,6 +16,7 @@ import geodisc.metrics as metrics
 from geodisc.continuation import PathResult
 from geodisc.domain import DomainSpec
 from geodisc.errors import StepUnderflow
+from geodisc.stationary import verify_E
 
 
 def write_json(path, obj):
@@ -335,11 +337,44 @@ def test_verify_flags_corrupted_bundle(tmp_path, ball_file, solved_bundle, capsy
     assert "boundary defect" in captured.err
 
 
+def test_verify_prints_exactly_the_failed_certificate(
+    tmp_path, ball_file, solved_bundle, monkeypatch, capsys
+):
+    def one_failure(*args):
+        return dataclasses.replace(verify_E(*args), wind_G=0)
+
+    monkeypatch.setattr(cli, "verify_E", one_failure)
+    out = tmp_path / "verify_out"
+    code = cli.main(["verify", ball_file, solved_bundle, "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["violated: wind G(z, .) = 0, expected 1"]
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["verify_E"]["passed"] is False
+    assert payload["passed"] is False
+
+
 def test_verify_rejects_malformed_bundle(tmp_path, ball_file, capsys):
     bad = write_json(tmp_path / "broken.json", {"mode": "two-point"})
     code = cli.main(["verify", ball_file, bad])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_verify_rejects_non_finite_coefficient(tmp_path, ball_file, solved_bundle, value, capsys):
+    with open(solved_bundle, encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    bundle["f"][1]["re"][0] = value
+    bad = write_json(tmp_path / "bad_disc.json", bundle)
+    out = tmp_path / "verify_out"
+    code = cli.main(["verify", ball_file, bad, "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: malformed disc bundle" in captured.err
+    assert "non-finite coefficient at k = 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +573,50 @@ def test_factorize_rejects_bad_symbols(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_factorize_rejects_non_finite_entry(tmp_path, capsys):
+    entries = scalar_symbol_entries()
+    entries[1]["re"][0] = float("nan")
+    sym = write_json(tmp_path / "beta.json", {"m": 1, "entries": entries})
+    out = tmp_path / "fac_out"
+    assert cli.main(["factorize", sym, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: malformed symbol entries" in err
+    assert "non-finite coefficient at k = 0" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # domain gate
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"n": 2, "kind": "ellipsoid", "semiaxes": [float("nan"), 2.0]}, "semiaxes"),
+        ({"n": 2, "kind": "ellipsoid", "semiaxes": [float("inf"), 2.0]}, "semiaxes"),
+        ({"n": 2, "kind": "ball", "z0": [float("nan"), 0, 0, 0]}, "z0"),
+        (
+            {"n": 2, "kind": "polynomial", "monomials": [
+                {"c": 1.0, "p": [2, 0, 0, 0]},
+                {"c": float("nan"), "p": [0, 2, 0, 0]},
+                {"c": 1.0, "p": [0, 0, 2, 0]},
+                {"c": 1.0, "p": [0, 0, 0, 2]},
+                {"c": -1.0, "p": [0, 0, 0, 0]},
+            ]},
+            "monomial #1: coefficient c",
+        ),
+    ],
+)
+def test_solve_rejects_non_finite_domain_fields(tmp_path, spec, field, capsys):
+    dom = write_json(tmp_path / "dom.json", spec)
+    out = tmp_path / "out"
+    code = cli.main(
+        ["solve", dom, "--from", "0.2,0.3", "--to=-0.1,0.4i", "--output", str(out)]
+    )
+    assert code == 1
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_rejects_nonconvex_polynomial_domain(tmp_path, capsys):

@@ -133,11 +133,11 @@ def test_analytic_completion_real_part_matches():
         N = int(rng.integers(2, 20))
         vals = rng.normal(size=64)
         eta = real_field(vals, N)
-        G = analytic_completion(eta, normalization=0.3)
+        G = analytic_completion(eta)
         gv = G.boundary_values(128)
         ev = eta.boundary_values(128)
         assert np.max(np.abs(gv.real - ev.real)) < 1e-12
-        assert G(0.0).imag == pytest.approx(0.3)
+        assert G(0.0).imag == 0.0
 
 
 def test_analytic_completion_rejects_nonreal():

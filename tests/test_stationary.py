@@ -21,6 +21,7 @@ from geodisc.errors import (
 from geodisc.metrics import lempert_distance
 from geodisc.stationary import (
     Constraint,
+    EReport,
     NewtonConfig,
     _holder_constant,
     axis_ball_defining,
@@ -77,30 +78,23 @@ def real_band_field(rng, K):
 
 def test_constraint_rejects_unknown_mode():
     with pytest.raises(InvalidConstraint):
-        Constraint("tangent", E1, 1.0)
+        Constraint("tangent", E1)
 
 
 def test_constraint_rejects_zero_direction():
     with pytest.raises(InvalidConstraint):
-        Constraint("direction", np.zeros(2), 1.0)
+        Constraint("direction", np.zeros(2))
 
 
 def test_constraint_allows_origin_target():
-    con = Constraint("two-point", np.zeros(2), 0.5)
+    con = Constraint("two-point", np.zeros(2))
     assert con.vector.dtype == complex
-
-
-def test_residual_requires_multiplier():
-    r, d = axis_disc()
-    con = Constraint("direction", E1, None)
-    with pytest.raises(InvalidConstraint):
-        residual(r, con, d.f, d.q)
 
 
 def test_axis_disc_residual_vanishes():
     r, d = axis_disc()
-    con = Constraint("direction", E1, 1.0)
-    parts = residual(r, con, d.f, d.q)
+    con = Constraint("direction", E1)
+    parts = residual(r, con, d.f, d.q, 1.0)
     assert parts.blended_norm() < 1e-13
     assert np.all(parts.c3 == 0)
     assert parts.q1 == pytest.approx(0.0, abs=1e-15)
@@ -109,8 +103,8 @@ def test_axis_disc_residual_vanishes():
 def test_two_point_interpolation_defect_is_exact():
     r, d = axis_disc()
     w = d.f(0.5 + 0j)
-    con = Constraint("two-point", w, 0.5)
-    parts = residual(r, con, d.f, d.q)
+    con = Constraint("two-point", w)
+    parts = residual(r, con, d.f, d.q, 0.5)
     assert np.all(parts.c3 == 0)
 
 
@@ -119,14 +113,14 @@ def test_gauge_perturbation_moves_only_the_dual_residual():
     # holomorphic-type defect of (1+q)/2 appears at frequency -1 with
     # coefficient eps/4 in the first component.
     r, d = axis_disc(N=8)
-    con = Constraint("direction", E1, 1.0)
+    con = Constraint("direction", E1)
     eps = 1e-3
     N = 8
     qc = np.zeros(2 * N + 1, dtype=complex)
     qc[N] = -eps
     qc[N - 1] = eps / 2
     qc[N + 1] = eps / 2
-    parts = residual(r, con, d.f, FourierDisc(qc, -N))
+    parts = residual(r, con, d.f, FourierDisc(qc, -N), 1.0)
     assert float(np.max(np.abs(parts.c1.coeffs))) < 1e-15
     assert np.all(parts.c3 == 0)
     assert parts.q1 == pytest.approx(0.0, abs=1e-15)
@@ -175,19 +169,17 @@ def newton_system(r, n, N, mode, taper=0):
     q = 0.05 * real_band_field(rng, N)
     q = FourierDisc(q.coeffs / np.maximum(np.abs(np.arange(-N, N + 1)), 1) ** taper, -N)
     mult = 0.8
-    con = Constraint(mode, np.array([1.0, 0.2j, -0.1][:n]), mult)
+    con = Constraint(mode, np.array([1.0, 0.2j, -0.1][:n]))
 
     M = _grid_size(r, N)
 
     def F(x):
         fx, qx, mx = layout.unpack(x, z0)
         dd = _field_data(r, fx, qx, M)
-        con.multiplier = mx
-        return layout.residual_vector(_parts_from_grid(dd, con, fx, qx, N))
+        return layout.residual_vector(_parts_from_grid(dd, con, fx, qx, mx, N))
 
     x0 = layout.pack(f, q, mult)
     d0 = _field_data(r, f, q, M)
-    con.multiplier = mult
     J = _jacobian(layout, d0, con, f, mult)
     assert J.shape == (layout.size, layout.size)
     return F, x0, J
@@ -254,7 +246,7 @@ def test_layout_round_trips_a_disc():
 def test_newton_accepts_exact_seed_without_stepping():
     r = axis_ball_defining(2)
     w = np.array([0.25, 0.0], dtype=complex)
-    con = Constraint("two-point", w, None)
+    con = Constraint("two-point", w)
     seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
     out = newton_solve(r, con, seed, NewtonConfig(N=16))
     assert out.diagnostics["newton_iters"] == 0
@@ -267,7 +259,7 @@ def test_newton_recovers_rotated_axis_disc():
     # rotated axis disc zeta -> zeta*w/|w| and the parameter is |w|.
     r = axis_ball_defining(2)
     w = np.array([0.3, 0.4j])
-    con = Constraint("two-point", w, None)
+    con = Constraint("two-point", w)
     seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
     pc = np.zeros((3, 2), dtype=complex)
     pc[2, 0] = 0.02
@@ -282,7 +274,7 @@ def test_newton_recovers_rotated_axis_disc():
 @pytest.fixture(scope="module")
 def ellipsoid_disc():
     r = PolynomialDefiningFunction.ellipsoid((1.0, 1.2))
-    con = Constraint("two-point", np.array([0.4, 0.2]), None)
+    con = Constraint("two-point", np.array([0.4, 0.2]))
     seed = ball_seed(np.zeros(2, dtype=complex), con, N=32)
     return r, newton_solve(r, con, seed, NewtonConfig(N=32))
 
@@ -305,7 +297,7 @@ def test_newton_reports_iteration_count(ellipsoid_disc):
 def test_newton_accepts_convergence_on_its_last_allowed_iteration(ellipsoid_disc):
     r, out = ellipsoid_disc
     k = out.diagnostics["newton_iters"]
-    con = Constraint("two-point", np.array([0.4, 0.2]), None)
+    con = Constraint("two-point", np.array([0.4, 0.2]))
     seed = ball_seed(np.zeros(2, dtype=complex), con, N=32)
     last = newton_solve(r, con, seed, NewtonConfig(N=32, max_iter=k))
     assert last.diagnostics["newton_iters"] == k
@@ -393,6 +385,32 @@ def test_verify_flags_dual_tail():
     rep = verify_E(r, bad, np.zeros(2))
     assert not rep.passed
     assert rep.dual_tail_sup > 1e-3
+
+
+PASSING_REPORT = dict(
+    sup_boundary_defect=1e-13, dual_tail_sup=1e-13, dual_tail_w=1e-11, min_rho=0.5,
+    wind_phi=0, wind_G=1, holder_constant=1.5, pairing_deviation=1e-12,
+)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sup_boundary_defect", 2e-9, "boundary defect 2.000e-09 exceeds 1e-09"),
+        ("sup_boundary_defect", float("nan"), "boundary defect nan exceeds 1e-09"),
+        ("dual_tail_sup", 1e-9, "dual field negative tail 1.000e-09 exceeds 1e-09"),
+        ("min_rho", 0.0, "rho is not positive (min 0.000e+00)"),
+        ("wind_phi", -1, "wind phi_z = -1, expected 0"),
+        ("wind_G", 2, "wind G(z, .) = 2, expected 1"),
+        ("holder_constant", float("inf"), "Holder constant is not finite"),
+    ],
+)
+def test_report_names_exactly_the_failed_certificate(field, value, message):
+    assert EReport(**PASSING_REPORT).violations() == []
+    assert EReport(**PASSING_REPORT).passed is True
+    rep = EReport(**dict(PASSING_REPORT, **{field: value}))
+    assert rep.violations() == [message]
+    assert rep.passed is False
 
 
 def test_verify_ellipsoid_disc(ellipsoid_disc):

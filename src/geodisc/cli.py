@@ -39,7 +39,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -240,19 +239,6 @@ def write_trace_csv(path: str, rows):
             wr.writerow([_csv_cell(row.get(c, "")) for c in _TRACE_COLUMNS])
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get("GEODISC_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"GEODISC_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError(f"GEODISC_THREADS must be at least 1, got {cap}")
-    return max(1, min(cap, n_jobs))
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -440,20 +426,18 @@ def cmd_table(args) -> int:
     for k in range(domain.n):
         boundary_header.extend([f"re_f{k + 1}", f"im_f{k + 1}"])
 
+    # cells run in order, so a failing cell stops the table with the rows
+    # before it
     rows, samples, failure = [], [], None
-    if cells:
-        workers = _worker_count(len(cells))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_table_cell, domain, pts, newton, c) for c in cells]
-            for cell, fut in zip(cells, futures):
-                try:
-                    row, smp = fut.result()
-                except GeodiscError as e:
-                    failure = (cell, e)
-                    break
-                rows.append(row)
-                if smp is not None:
-                    samples.extend(smp)
+    for cell in cells:
+        try:
+            row, smp = _table_cell(domain, pts, newton, cell)
+        except GeodiscError as e:
+            failure = (cell, e)
+            break
+        rows.append(row)
+        if smp is not None:
+            samples.extend(smp)
 
     table_path = _out_path(args.output, "table.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:

@@ -16,6 +16,8 @@ root s of sum_d h_d(x) s^(D-d).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -485,8 +487,7 @@ def verify_convexity(domain: DomainSpec, n_samples: int = 2048, seed: int = 0) -
     At each sampled boundary point the real Hessian is minimized exactly
     over the real tangent space (restricted eigenproblem), and the complex
     margin  min eig(restricted r_zzbar) - ||restricted r_zz||  is computed
-    on the complex tangent space.  64 extra random tangent directions act
-    as a sampled cross-check.  Sampled, not certified.
+    on the complex tangent space.  Sampled, not certified.
     """
     B = _boundary_samples(domain, n_samples, seed)
     _, grad, hess = domain.defining.value_gradient_hessian(B)
@@ -517,22 +518,10 @@ def verify_convexity(domain: DomainSpec, n_samples: int = 2048, seed: int = 0) -
         np.min(np.linalg.eigvalsh(beta_r)[:, 0] - _top_singular(alpha_r))
     )
 
-    # random tangent directions as a sampled upper bound on the real margin
-    rng = np.random.default_rng(seed + 1)
-    V = rng.standard_normal((B.shape[0], 64, dim))
-    V -= np.einsum("pti,pi->pt", V, ghat)[:, :, None] * ghat[:, None, :]
-    V /= np.linalg.norm(V, axis=2, keepdims=True)
-    sampled = np.einsum("pti,pij,ptj->pt", V, hess, V)
-    sampled_margin = float(np.min(sampled))
-
     return {
         "strongly_convex": convexity_margin > 0.0,
         "strongly_linearly_convex": lin_margin > 0.0,
-        "min_margins": {
-            "convexity": convexity_margin,
-            "linear_convexity": lin_margin,
-            "convexity_sampled": sampled_margin,
-        },
+        "min_margins": {"convexity": convexity_margin, "linear_convexity": lin_margin},
     }
 
 
@@ -541,21 +530,40 @@ def verify_convexity(domain: DomainSpec, n_samples: int = 2048, seed: int = 0) -
 # ---------------------------------------------------------------------------
 
 
+def _json_number(value, what: str, integer: bool = False):
+    """A finite JSON number (integral if asked) or a DomainViolation naming the field."""
+    ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    limit = sys.maxsize if integer else sys.float_info.max
+    if not (ok and abs(value) <= limit) or (integer and value != int(value)):
+        kind = "a 64-bit integer" if integer else "a finite number"
+        raise DomainViolation(f"{what} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainViolation(f"{what} must be a list of numbers, got {value!r}") from None
+
+
 def load_domain(obj: dict) -> DomainSpec:
     """Build a DomainSpec from its JSON dictionary.
 
     Expected keys: n, kind ("polynomial" | "ellipsoid" | "ball"), and for
     polynomial kind "monomials": [{"c": float, "p": [int * 2n]}], for
     ellipsoid kind "semiaxes": [float * n].  Optional "z0": [float * 2n].
+    A missing or wrong-typed field is a DomainViolation that names it.
     """
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         kind = obj["kind"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise DomainViolation(f"malformed domain object: {e}") from None
+    except (KeyError, TypeError) as e:
+        raise DomainViolation(f"malformed domain object: {e!r}") from None
+    n = _json_number(n, "n", integer=True)
     if n < 2:
         raise DomainViolation("domains live in C^n with n >= 2")
-    z0 = np.asarray(obj.get("z0", np.zeros(2 * n)), dtype=float)
+    z0 = _float_array(obj.get("z0", np.zeros(2 * n)), "z0")
     if z0.shape != (2 * n,):
         raise DomainViolation(f"z0 must have length {2*n}")
     if not np.all(np.isfinite(z0)):
@@ -569,7 +577,7 @@ def load_domain(obj: dict) -> DomainSpec:
     if kind == "ellipsoid":
         if "monomials" in obj:
             raise DomainViolation("ellipsoid kind must not carry monomials")
-        a = np.asarray(obj["semiaxes"], dtype=float)
+        a = _float_array(obj.get("semiaxes"), "semiaxes")
         if a.shape != (n,) or not np.all(np.isfinite(a) & (a > 0)):
             raise DomainViolation("semiaxes must be n finite positive reals")
         return DomainSpec(
@@ -583,23 +591,26 @@ def load_domain(obj: dict) -> DomainSpec:
     if kind == "polynomial":
         if "semiaxes" in obj:
             raise DomainViolation("polynomial kind must not carry semiaxes")
-        monos = obj["monomials"]
-        if not monos:
-            raise DomainViolation("empty monomial list")
+        monos = obj.get("monomials")
+        if not isinstance(monos, list) or not monos:
+            raise DomainViolation(f"monomials must be a nonempty list, got {monos!r}")
+        terms = []
         for i, mono in enumerate(monos):
-            if set(mono) != {"c", "p"}:
+            if not isinstance(mono, dict) or set(mono) != {"c", "p"}:
                 raise DomainViolation(f"monomial #{i} must have keys c and p")
-            if not np.isfinite(float(mono["c"])):
-                raise DomainViolation(f"monomial #{i}: coefficient c must be finite")
-            if len(mono["p"]) != 2 * n or any(
-                int(e) < 0 or int(e) != e for e in mono["p"]
-            ):
+            c = _json_number(mono["c"], f"monomial #{i}: coefficient c")
+            p = mono["p"]
+            if not isinstance(p, list) or len(p) != 2 * n:
                 raise DomainViolation(
-                    f"monomial #{i}: exponent vector must be {2*n} nonnegative ints"
+                    f"monomial #{i}: exponent vector p must be a list of {2*n} "
+                    f"nonnegative ints, got {p!r}"
                 )
-        poly = PolynomialDefiningFunction.from_monomials(
-            n, [(m["c"], m["p"]) for m in monos]
-        )
+            p = [_json_number(e, f"monomial #{i}: exponent p[{k}]", integer=True)
+                 for k, e in enumerate(p)]
+            if min(p) < 0:
+                raise DomainViolation(f"monomial #{i}: exponents must be nonnegative, got {p}")
+            terms.append((c, p))
+        poly = PolynomialDefiningFunction.from_monomials(n, terms)
         return DomainSpec(n, "polynomial", poly, z0=z0, label=label)
     raise DomainViolation(f"unknown domain kind {kind!r}")
 

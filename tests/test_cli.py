@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import geodisc.cli as cli
 import geodisc.metrics as metrics
 from geodisc.continuation import PathResult
 from geodisc.domain import DomainSpec
-from geodisc.errors import StepUnderflow
+from geodisc.errors import NoConvergence, StepUnderflow
 from geodisc.stationary import verify_E
 
 
@@ -382,8 +384,7 @@ def test_verify_rejects_non_finite_coefficient(tmp_path, ball_file, solved_bundl
 # ---------------------------------------------------------------------------
 
 
-def test_table_grid_is_symmetric(tmp_path, ball_file, monkeypatch, capsys):
-    monkeypatch.setenv("GEODISC_THREADS", "2")
+def test_table_grid_is_symmetric(tmp_path, ball_file, capsys):
     out = tmp_path / "table_out"
     code = cli.main(
         ["table", ball_file, "--grid", "0,0; 0.3,0; 0,0.2i",
@@ -429,16 +430,6 @@ def test_table_rejects_exterior_grid_point(ball_file, capsys):
     assert "grid point #1" in capsys.readouterr().err
 
 
-def test_table_rejects_bad_thread_env(ball_file, monkeypatch, capsys):
-    monkeypatch.setenv("GEODISC_THREADS", "zero")
-    code = cli.main(["table", ball_file, "--grid", "0,0;0.3,0"])
-    assert code == 1
-    monkeypatch.setenv("GEODISC_THREADS", "0")
-    code = cli.main(["table", ball_file, "--grid", "0,0;0.3,0"])
-    assert code == 1
-    capsys.readouterr()
-
-
 def test_table_writes_partial_results_on_failure(tmp_path, ball_file, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise StepUnderflow("forced stall", path=None)
@@ -455,6 +446,31 @@ def test_table_writes_partial_results_on_failure(tmp_path, ball_file, monkeypatc
     rows = read_csv(out / "table.csv")
     assert len(rows) == 2  # header plus the completed diagonal cell
     assert rows[1][0] == "0" and rows[1][1] == "0"
+
+
+def test_table_stops_at_the_failing_cell(tmp_path, ball_file, monkeypatch, capsys):
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NoConvergence("forced failure")
+        return orig(*args, **kwargs)
+
+    orig = cli.lempert_distance
+    monkeypatch.setattr(cli, "lempert_distance", fail_first)
+    out = tmp_path / "stop_out"
+    code = cli.main(
+        ["table", ball_file, "--grid", "0,0;0.3,0;0,0.2i;0.1,0.1",
+         "--N", "24", "--output", str(out)]
+    )
+    assert code == 2
+    assert "cell (0,1) failed" in capsys.readouterr().err
+    assert len(calls) == 1  # none of the 11 cells after (0,1) is solved
+    assert read_csv(out / "table.csv") == [
+        list(cli._TABLE_COLUMNS),
+        ["0", "0", "0+0i,0+0i", "0+0i,0+0i", "0", "0", "", "", "", "", "", ""],
+    ]
 
 
 def test_table_rescales_the_domain_once(tmp_path, monkeypatch, capsys):
@@ -475,7 +491,6 @@ def test_table_rescales_the_domain_once(tmp_path, monkeypatch, capsys):
 
     orig = DomainSpec.boundary_radius_range
     monkeypatch.setattr(DomainSpec, "boundary_radius_range", counted)
-    monkeypatch.setenv("GEODISC_THREADS", "1")
     code = cli.main(
         ["table", quartic, "--grid", "0,0;0.1,0", "--N", "32", "--output", str(tmp_path / "out")]
     )
@@ -617,6 +632,24 @@ def test_solve_rejects_non_finite_domain_fields(tmp_path, spec, field, capsys):
     assert code == 1
     assert f"error: {field}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_solve_rejects_a_wrong_typed_domain_field_without_a_traceback(tmp_path):
+    # a separate process, so that an uncaught exception would show as the
+    # interpreter's traceback and exit status
+    monomials = [{"c": None, "p": [2, 0, 0, 0]}, {"c": -1.0, "p": [0, 0, 0, 0]}]
+    dom = write_json(tmp_path / "dom.json", {"n": 2, "kind": "polynomial", "monomials": monomials})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodisc.cli", "solve", dom, "--from", "0.1,0", "--to", "0.2,0",
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: monomial #0: coefficient c")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_rejects_nonconvex_polynomial_domain(tmp_path, capsys):

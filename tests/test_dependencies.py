@@ -1,6 +1,7 @@
 """The runtime depends on numpy alone: every module of the package imports
 only the standard library, numpy and geodisc itself, and uses every name
-it imports."""
+it imports.  No module reads the environment: settings come only through
+NewtonConfig and the command-line flags."""
 
 import ast
 import sys
@@ -47,3 +48,23 @@ def unused_imports(tree):
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree):
+    """os.environ or os.getenv, as an attribute or as an imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return sorted(names & ENVIRONMENT_NAMES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert environment_reads(tree) == []

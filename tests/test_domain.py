@@ -9,6 +9,7 @@ import pytest
 from geodisc.domain import (
     DomainSpec,
     PolynomialDefiningFunction,
+    _boundary_samples,
     complex_coords,
     domain_to_dict,
     homotopy_domain,
@@ -304,6 +305,27 @@ def test_verify_convexity_ball_and_ellipsoid():
     assert rep2["strongly_convex"] and rep2["strongly_linearly_convex"]
 
 
+@pytest.mark.parametrize(
+    "make_domain", [quartic, lambda: ellipsoid([1.0, 2.0])], ids=["quartic", "E(1,2)"]
+)
+def test_random_tangent_directions_stay_above_the_convexity_margin(make_domain):
+    # the exact margin minimizes the Hessian over the real tangent space at
+    # each sampled boundary point, so no random unit tangent direction at the
+    # same points can read below it, up to the roundoff of the shifted
+    # eigenproblem
+    d = make_domain()
+    margin = verify_convexity(d, n_samples=512)["min_margins"]["convexity"]
+    B = _boundary_samples(d, 512, 0)
+    _, grad, hess = d.defining.value_gradient_hessian(B)
+    ghat = grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    V = np.random.default_rng(1).standard_normal((B.shape[0], 64, 4))
+    V -= np.einsum("pti,pi->pt", V, ghat)[:, :, None] * ghat[:, None, :]
+    V /= np.linalg.norm(V, axis=2, keepdims=True)
+    sampled = np.einsum("pti,pij,ptj->pt", V, hess, V)
+    assert margin > 0
+    assert sampled.min() >= margin - 1e-8 * (np.abs(hess).max() + 1.0)
+
+
 def test_verify_convexity_flags_nonconvex():
     # (|z1|^2 - 1)^2 + |z2|^2 - 0.5: inner boundary component is concave
     r = PolynomialDefiningFunction.from_monomials(
@@ -391,6 +413,46 @@ def test_load_domain_roundtrip():
     again = load_domain(domain_to_dict(p))
     x = np.array([[0.3, 0.1, -0.2, 0.4]])
     assert again.defining.value(x)[0] == pytest.approx(p.defining.value(x)[0])
+
+
+def sphere_monomials():
+    return [
+        {"c": 1.0, "p": [2, 0, 0, 0]},
+        {"c": 1.0, "p": [0, 2, 0, 0]},
+        {"c": 1.0, "p": [0, 0, 2, 0]},
+        {"c": 1.0, "p": [0, 0, 0, 2]},
+        {"c": -1.0, "p": [0, 0, 0, 0]},
+    ]
+
+
+def with_field(mono_index=None, **fields):
+    obj = {"n": 2, "kind": "polynomial", "monomials": sphere_monomials()}
+    if mono_index is None:
+        obj.update(fields)
+    else:
+        obj["monomials"][mono_index].update(fields)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (with_field(0, c=None), "monomial #0: coefficient c must be a finite number"),
+        (with_field(1, p=None), "monomial #1: exponent vector p must be a list"),
+        (with_field(2, p=5), "monomial #2: exponent vector p must be a list"),
+        (with_field(monomials=5), "monomials must be a nonempty list"),
+        (with_field(n=2.5), "n must be a 64-bit integer"),
+        (with_field(3, p=[1e300, 0, 0, 0]), "monomial #3: exponent p[0] must be a 64-bit integer"),
+        ({"n": 2, "kind": "ellipsoid"}, "semiaxes must be n finite positive reals"),
+        ({"n": 2, "kind": "ball", "z0": {"x": 0.0}}, "z0 must be a list of numbers"),
+    ],
+    ids=["c-null", "p-null", "p-int", "monomials-int", "n-fractional",
+         "p-entry-too-large", "semiaxes-missing", "z0-object"],
+)
+def test_load_domain_rejects_wrong_typed_fields(obj, message):
+    with pytest.raises(DomainViolation) as exc:
+        load_domain(obj)
+    assert message in str(exc.value)
 
 
 def test_load_domain_errors():

@@ -231,12 +231,15 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_trace_csv(path: str, rows):
+def _write_csv(path: str, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(_TRACE_COLUMNS)
-        for row in rows:
-            wr.writerow([_csv_cell(row.get(c, "")) for c in _TRACE_COLUMNS])
+        wr.writerow(header)
+        wr.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def write_trace_csv(path: str, rows):
+    _write_csv(path, _TRACE_COLUMNS, ([row.get(c, "") for c in _TRACE_COLUMNS] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +354,7 @@ def cmd_verify(args) -> int:
     text = canonical_json(payload)
     sys.stdout.write(text)
     if args.output is not None:
-        os.makedirs(args.output, exist_ok=True)
-        _write_text(os.path.join(args.output, "verify.json"), text)
+        _write_text(_out_path(args.output, "verify.json"), text)
     if not ok:
         for line in report.violations():
             print(f"violated: {line}", file=sys.stderr)
@@ -440,16 +442,8 @@ def cmd_table(args) -> int:
             samples.extend(smp)
 
     table_path = _out_path(args.output, "table.csv")
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(_TABLE_COLUMNS)
-        for row in rows:
-            wr.writerow([_csv_cell(row[c]) for c in _TABLE_COLUMNS])
-    with open(_out_path(args.output, "boundary.csv"), "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(boundary_header)
-        for row in samples:
-            wr.writerow([_csv_cell(v) for v in row])
+    _write_csv(table_path, _TABLE_COLUMNS, ([row[c] for c in _TABLE_COLUMNS] for row in rows))
+    _write_csv(_out_path(args.output, "boundary.csv"), boundary_header, samples)
 
     if failure is not None:
         (i, j), err = failure
@@ -487,8 +481,7 @@ def cmd_factorize(args) -> int:
         "min_det": fac.min_det,
         "det_winding": fac.det_winding,
     }
-    os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, "factor.json")
+    path = _out_path(args.output, "factor.json")
     _write_text(path, canonical_json(payload))
     print(
         f"residual {fmt(fac.residual)}  min |det H| {fmt(fac.min_det)}  "

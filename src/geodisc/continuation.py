@@ -16,7 +16,7 @@ import numpy as np
 
 from . import disc as dc
 from .disc import FourierDisc, _next_pow2, unit_grid
-from .domain import DomainSpec, PolynomialDefiningFunction, homotopy_domain
+from .domain import DomainSpec, homotopy_domain
 from .errors import (
     DomainViolation,
     InvalidConstraint,
@@ -46,7 +46,6 @@ _MAX_STEPS = 500
 
 @dataclass
 class PathResult:
-    status: str  # "ok" or "step_underflow"
     disc: StationaryDisc
     t_reached: float
     trace: list = dc_field(default_factory=list)
@@ -93,11 +92,12 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
     two-point: f(xi) = w with xi = |phi_z(w)|;
     direction: f'(0) = lambda*v with lambda = kappa(z; v)^{-1}.
     The disc, its dual, rho and q are sampled on a grid and truncated to
-    order N; the tail decays like |z|^k so the residual stays below 1e-12
-    for base points away from the boundary.
+    order N; the tail decays like |z|^k so the residual on the ball stays
+    below 1e-12 for base points away from the boundary.  The seed is not
+    evaluated against any domain: its residual_norm is NaN until a Newton
+    solve measures it on the domain it is carried to.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
     if float(np.linalg.norm(z)) >= 1.0:
         raise DomainViolation("base point must lie inside the unit ball")
     if constraint.mode == "two-point":
@@ -128,8 +128,6 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
     qc[N] -= np.sum(qc).real
     q = FourierDisc(qc, -N)
 
-    r_ball = PolynomialDefiningFunction.unit_ball(n)
-    parts = residual(r_ball, constraint, f, q, mult)
     return StationaryDisc(
         f=f,
         f_tilde=f_tilde,
@@ -138,8 +136,7 @@ def ball_seed(z, constraint: Constraint, N: int = 64) -> StationaryDisc:
         multiplier=mult,
         mode=constraint.mode,
         constraint_vector=constraint.vector,
-        residual_norm=parts.blended_norm(),
-        diagnostics={"seed": "ball", "newton_iters": 0},
+        residual_norm=float("nan"),
     )
 
 
@@ -163,39 +160,23 @@ def continue_path(family, seed: StationaryDisc, newton: NewtonConfig) -> PathRes
     """Carry seed, a disc of family(0), to a disc of family(1); family(t)
     gives the (defining function, Constraint) of the homotopy at t.
 
-    A seed whose residual at t = 1 is already below newton.tol_res is
-    accepted as it is; otherwise one direct Newton solve at t = 1 is
-    tried, and only when that fails is t marched from 0 with adaptive
-    steps.  Order-0 predictor (previous disc seeds the next solve); failed
-    Newton corrections halve the step, quick ones (<= 3 iterations) grow
-    it by 1.5x up to 0.2.  A step below _MIN_STEP ends the path with
-    status "step_underflow" and the last good disc; it is the caller's
-    decision whether that is an error.
+    One direct Newton solve at t = 1 is tried first; a seed that already
+    solves the end-of-path system comes back from it after 0 iterations.
+    Only when that solve fails is t marched from 0 with adaptive steps.
+    Order-0 predictor (previous disc seeds the next solve); failed Newton
+    corrections halve the step, quick ones (<= 3 iterations) grow it by
+    1.5x up to 0.2.  A step below _MIN_STEP raises StepUnderflow carrying
+    the path up to the last good disc.
     """
-    # a seed that already satisfies the end-of-path system is accepted
-    # directly; this is the constant-family fast path
+    # the direct attempt gets a reduced iteration budget so a hopeless
+    # solve cannot eat the time the march needs
     r1, con1 = family(1.0)
+    direct = replace(newton, max_iter=12, max_halvings=3)
     try:
-        rn = residual(
-            r1, con1, seed.f, seed.q.band(-newton.N, newton.N), seed.multiplier
-        ).blended_norm()
-    except (LeftDomain, NoConvergence):
-        rn = np.inf
-    if rn < newton.tol_res:
-        accepted = replace(seed, residual_norm=rn, diagnostics=dict(seed.diagnostics))
-        return PathResult("ok", accepted, 1.0, [_trace_row(1.0, 1.0, accepted)])
-
-    # next cheapest outcome: one direct Newton solve at the end of the path;
-    # the march below is the fallback when the seed is too far out.  The
-    # attempt gets a reduced iteration budget so a hopeless direct solve
-    # cannot eat the time the march needs.
-    if np.isfinite(rn):
-        direct = replace(newton, max_iter=12, max_halvings=3)
-        try:
-            cand = newton_solve(r1, con1, seed, direct)
-            return PathResult("ok", cand, 1.0, [_trace_row(1.0, 1.0, cand)])
-        except (NoConvergence, LeftDomain, NonConstantPairing):
-            pass
+        cand = newton_solve(r1, con1, seed, direct)
+        return PathResult(cand, 1.0, [_trace_row(1.0, 1.0, cand)])
+    except (NoConvergence, LeftDomain, NonConstantPairing):
+        pass
 
     t, disc, trace = 0.0, seed, []
     step = _INITIAL_STEP
@@ -205,14 +186,19 @@ def continue_path(family, seed: StationaryDisc, newton: NewtonConfig) -> PathRes
             raise NoConvergence(
                 f"continuation exceeded {_MAX_STEPS} steps at t = {t:.4f}"
             )
-        t_try = min(1.0, t + step)
+        # a remainder below _MIN_STEP joins this step: ten steps of 0.1 sum
+        # to 1 - 1.1e-16, which would otherwise cost one more solve
+        t_try = 1.0 if t + step > 1.0 - _MIN_STEP else t + step
         r_t, con_t = family(t_try)
         try:
             cand = newton_solve(r_t, con_t, disc, newton)
         except (NoConvergence, LeftDomain, NonConstantPairing):
             step *= 0.5
             if step < _MIN_STEP:
-                return PathResult("step_underflow", disc, t, trace)
+                raise StepUnderflow(
+                    f"continuation stalled at t = {t:.6f}",
+                    path=PathResult(disc, t, trace),
+                ) from None
             continue
         n_steps += 1
         taken = t_try - t
@@ -221,7 +207,7 @@ def continue_path(family, seed: StationaryDisc, newton: NewtonConfig) -> PathRes
         trace.append(_trace_row(t, taken, disc))
         if disc.diagnostics.get("newton_iters", 99) <= 3:
             step = min(step * 1.5, 0.2)
-    return PathResult("ok", disc, t, trace)
+    return PathResult(disc, t, trace)
 
 
 def solve_extremal(
@@ -267,39 +253,28 @@ def solve_extremal(
     # fails the pairing test seeds the next band's Newton solve with that
     # disc, zero-padded; only if that solve fails does the band restart
     # from the ball.
-    disc_s = None
+    r1 = family(1.0)[0]
     kept = None
     for attempt in range(3):
         nwt = replace(newton, N=newton.N * 2**attempt)
         path = None
-        if kept is not None:
-            try:
-                refined = newton_solve(family(1.0)[0], con_s, kept, nwt)
-                path = PathResult("ok", refined, 1.0, [_trace_row(1.0, 0.0, refined)])
-            except (NoConvergence, LeftDomain, NonConstantPairing):
-                pass
-        if path is None:
-            try:
-                seed = ball_seed(z_s, con_s, N=nwt.N)
-            except NonConstantPairing:
-                if attempt == 2:
-                    raise
-                continue
-            path = continue_path(family, seed, nwt)
-            if path.status != "ok":
-                if attempt == 2:
-                    raise StepUnderflow(
-                        f"continuation stalled at t = {path.t_reached:.6f}",
-                        path=path,
-                    )
-                continue
         try:
+            if kept is not None:
+                try:
+                    refined = newton_solve(r1, con_s, kept, nwt)
+                    path = PathResult(refined, 1.0, [_trace_row(1.0, 0.0, refined)])
+                except (NoConvergence, LeftDomain, NonConstantPairing):
+                    pass
+            if path is None:
+                path = continue_path(family, ball_seed(z_s, con_s, N=nwt.N), nwt)
             disc_s = normalize(path.disc)
             break
-        except NonConstantPairing:
+        except (NonConstantPairing, StepUnderflow):
             if attempt == 2:
                 raise
-            kept = path.disc
+            # only a disc that normalize rejected seeds the next band
+            if path is not None:
+                kept = path.disc
     f = disc_s.f * sigma
     f_tilde = disc_s.f_tilde * (1.0 / sigma)
     rho = disc_s.rho * (1.0 / sigma)

@@ -159,17 +159,33 @@ class FourierDisc:
 
     @staticmethod
     def from_entries(entries: Iterable[dict], target_shape: tuple = None) -> "FourierDisc":
-        entries = sorted(entries, key=lambda e: e["k"])
+        """Inverse of to_entries.  Frequencies missing between the smallest
+        and the largest k read as zero; a duplicate or non-integer k, a
+        re/im length that differs from the first entry's and a non-finite
+        coefficient raise ValueError."""
+        entries = list(entries)
         if not entries:
             raise ValueError("empty coefficient dump")
-        ks = [int(e["k"]) for e in entries]
-        k_min, k_max = ks[0], ks[-1]
         m = len(entries[0]["re"])
+        rows = {}
+        for e in entries:
+            k = e["k"]
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ValueError(f"frequency k = {k!r} is not an integer")
+            if k in rows:
+                raise ValueError(f"frequency k = {k} is listed twice")
+            if len(e["re"]) != m or len(e["im"]) != m:
+                raise ValueError(
+                    f"coefficient at k = {k} has {len(e['re'])} real and "
+                    f"{len(e['im'])} imaginary parts, expected {m}"
+                )
+            rows[k] = np.asarray(e["re"]) + 1j * np.asarray(e["im"])
+        k_min, k_max = min(rows), max(rows)
         if target_shape is None:
             target_shape = () if m == 1 else (m,)
         coeffs = np.zeros((k_max - k_min + 1, m), dtype=complex)
-        for e in entries:
-            coeffs[int(e["k"]) - k_min] = np.asarray(e["re"]) + 1j * np.asarray(e["im"])
+        for k, row in rows.items():
+            coeffs[k - k_min] = row
         bad = np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1))
         if bad.size:
             raise ValueError(f"non-finite coefficient at k = {k_min + int(bad[0])}")

@@ -62,7 +62,8 @@ class NewtonFailure(GeodiscError):
 
 
 class StepUnderflow(GeodiscError):
-    """Homotopy step shrank below min_step; carries the partial path."""
+    """The homotopy march's step shrank below its _MIN_STEP; carries the
+    path up to the last accepted disc."""
 
     def __init__(self, message, path=None):
         super().__init__(message)

@@ -268,7 +268,7 @@ def test_solve_writes_partial_trace_on_stall(tmp_path, ball_file, monkeypatch, c
         {"t": 0.2, "step": 0.1, "newton_iters": 4, "residual": 2e-11,
          "xi_or_lambda": 0.41, "holder_C": 1.21},
     ]
-    path = PathResult(status="step_underflow", disc=None, t_reached=0.2, trace=rows)
+    path = PathResult(disc=None, t_reached=0.2, trace=rows)
 
     def stall(*args, **kwargs):
         raise StepUnderflow("continuation stalled at t = 0.2", path=path)
@@ -377,6 +377,19 @@ def test_verify_rejects_non_finite_coefficient(tmp_path, ball_file, solved_bundl
     assert "non-finite coefficient at k = 1" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_verify_rejects_a_duplicate_coefficient(tmp_path, ball_file, solved_bundle, capsys):
+    with open(solved_bundle, encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    (k1,) = [e for e in bundle["f"] if e["k"] == 1]
+    bundle["f"].append(dict(k1, re=[0.0 for _ in k1["re"]]))
+    bad = write_json(tmp_path / "dup_disc.json", bundle)
+    code = cli.main(["verify", ball_file, bad])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: malformed disc bundle" in err
+    assert "k = 1 is listed twice" in err
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +610,18 @@ def test_factorize_rejects_non_finite_entry(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: malformed symbol entries" in err
     assert "non-finite coefficient at k = 0" in err
+    assert not out.exists()
+
+
+def test_factorize_rejects_a_fractional_frequency(tmp_path, capsys):
+    entries = scalar_symbol_entries()
+    entries[2]["k"] = 2.5
+    sym = write_json(tmp_path / "beta.json", {"m": 1, "entries": entries})
+    out = tmp_path / "fac_out"
+    assert cli.main(["factorize", sym, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: malformed symbol entries" in err
+    assert "k = 2.5 is not an integer" in err
     assert not out.exists()
 
 

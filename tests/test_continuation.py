@@ -19,7 +19,13 @@ from geodisc.errors import (
     StepUnderflow,
 )
 from geodisc.metrics import lempert_distance
-from geodisc.stationary import Constraint, NewtonConfig, axis_ball_defining, verify_E
+from geodisc.stationary import (
+    Constraint,
+    NewtonConfig,
+    axis_ball_defining,
+    residual,
+    verify_E,
+)
 
 
 def ball_domain(n=2):
@@ -31,6 +37,11 @@ def ellipsoid_domain(axes):
     return DomainSpec(
         len(a), "ellipsoid", PolynomialDefiningFunction.ellipsoid(a), semiaxes=a
     )
+
+
+def ball_residual(seed, con):
+    r = PolynomialDefiningFunction.unit_ball(seed.f.target_shape[0])
+    return residual(r, con, seed.f, seed.q, seed.multiplier).blended_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +75,11 @@ def test_mobius_preserves_the_sphere():
 
 def test_ball_seed_center_two_point():
     w = np.array([0.3, 0.4j])
-    seed = ball_seed(np.zeros(2, dtype=complex), Constraint("two-point", w), N=16)
-    assert seed.residual_norm < 1e-12
+    con = Constraint("two-point", w)
+    seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
+    # the seed is measured against no domain until Newton carries it
+    assert np.isnan(seed.residual_norm)
+    assert ball_residual(seed, con) < 1e-12
     assert seed.multiplier == pytest.approx(0.5, abs=1e-14)
     assert np.allclose(seed.f.coefficient(1), w / 0.5, atol=1e-13)
     assert np.allclose(seed.f(0.5 + 0j), w, atol=1e-13)
@@ -73,8 +87,9 @@ def test_ball_seed_center_two_point():
 
 def test_ball_seed_center_direction():
     v = np.array([0.3, 0.4j])
-    seed = ball_seed(np.zeros(2, dtype=complex), Constraint("direction", v), N=16)
-    assert seed.residual_norm < 1e-12
+    con = Constraint("direction", v)
+    seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
+    assert ball_residual(seed, con) < 1e-12
     # kappa(0; v) = |v| in the ball, so the extremal lambda is 1/|v|
     assert seed.multiplier == pytest.approx(2.0, abs=1e-13)
     assert np.allclose(seed.f.coefficient(1), seed.multiplier * v, atol=1e-13)
@@ -83,8 +98,9 @@ def test_ball_seed_center_direction():
 def test_ball_seed_off_center_is_exact():
     z = np.array([0.3, 0.1j])
     w = np.array([-0.2, 0.25])
-    seed = ball_seed(z, Constraint("two-point", w), N=64)
-    assert seed.residual_norm < 1e-12
+    con = Constraint("two-point", w)
+    seed = ball_seed(z, con, N=64)
+    assert ball_residual(seed, con) < 1e-12
     assert np.allclose(seed.f.coefficient(0), z, atol=1e-13)
     assert np.allclose(seed.f(complex(seed.multiplier)), w, atol=1e-12)
 
@@ -115,8 +131,10 @@ def test_constant_family_returns_in_one_step():
     con = Constraint("two-point", np.array([0.25, 0.0]))
     seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
     path = continue_path(lambda t: (r, con), seed, NewtonConfig(N=16))
-    assert path.status == "ok"
     assert path.t_reached == 1.0
+    # the exact seed is accepted by Newton's own first residual check
+    assert path.disc.diagnostics["newton_iters"] == 0
+    assert "dual_negative_tail" in path.disc.diagnostics
     assert len(path.trace) == 1
     row = path.trace[0]
     assert set(row) == {"t", "step", "newton_iters", "residual", "xi_or_lambda", "holder_C"}
@@ -134,8 +152,23 @@ def test_stalled_path_raises_step_underflow(monkeypatch):
         solve_extremal(E, np.zeros(2, dtype=complex),
                        Constraint("two-point", np.array([0.3, 0.2])))
     assert info.value.path is not None
-    assert info.value.path.status == "step_underflow"
     assert info.value.path.t_reached == 0.0
+
+
+def test_continue_path_stall_carries_the_seed(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NoConvergence("forced failure")
+
+    monkeypatch.setattr("geodisc.continuation.newton_solve", refuse)
+    E = ellipsoid_domain((1.0, 1.5))
+    con = Constraint("two-point", np.array([0.3, 0.2]))
+    seed = ball_seed(np.zeros(2, dtype=complex), con, N=16)
+    with pytest.raises(StepUnderflow) as info:
+        continue_path(lambda t: (E.defining, con), seed, NewtonConfig(N=16))
+    path = info.value.path
+    assert path.t_reached == 0.0
+    assert path.trace == []
+    assert path.disc is seed
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +188,39 @@ def test_solve_ball_two_point():
     assert d.diagnostics["t_reached"] == 1.0
     assert len(d.diagnostics["trace"]) >= 1
     assert verify_E(B.defining, d, z).passed
+
+
+def test_solve_evaluates_the_residual_only_to_map_back(monkeypatch):
+    # seeds are not measured on the ball and Newton checks its own start,
+    # so the one residual left is the final one in the target coordinates
+    calls = []
+    real = continuation.residual
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "residual", count)
+    solve_extremal(ellipsoid_domain((1.0, 2.0)), np.array([0.2, 0.6 + 0.1j]),
+                   Constraint("two-point", np.array([-0.3, -0.4j])))
+    assert len(calls) == 1
+
+
+def test_marching_solve_ends_exactly_at_one():
+    # E(1, 8) near its boundary: the direct attempt at t = 1 fails and the
+    # march runs; ten steps of 0.1 must not leave a sliver step behind
+    a = np.array([1.0, 8.0])
+    z, w = np.array([0.71, 2.9]), np.array([-0.08, 6.37])
+    res, d = lempert_distance(ellipsoid_domain(a), z, w)
+    trace = d.diagnostics["trace"]
+    ts = [row["t"] for row in trace]
+    assert len(trace) > 1
+    assert all(u > s for s, u in zip(ts, ts[1:]))
+    assert ts[-1] == 1.0
+    assert min(row["step"] for row in trace) >= continuation._MIN_STEP
+    exact = np.arctanh(np.linalg.norm(mobius_ball(z / a, w / a)))
+    assert res.value == pytest.approx(exact, abs=1e-12)
+    assert res.report.passed
 
 
 def test_solve_ellipsoid_axis_direction_is_exact():

@@ -220,6 +220,29 @@ def test_entries_roundtrip_scalar_target():
     assert np.max(np.abs(back.coeffs - u.coeffs)) == 0.0
 
 
+def test_entries_reject_a_duplicate_frequency():
+    entries = holo(1.0, 2.0).to_entries()
+    entries.append({"k": 1, "re": [5.0], "im": [0.0]})
+    with pytest.raises(ValueError, match="k = 1 is listed twice"):
+        FourierDisc.from_entries(entries)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "1"])
+def test_entries_reject_a_non_integer_frequency(k):
+    entries = holo(1.0, 2.0).to_entries()
+    entries[1]["k"] = k
+    with pytest.raises(ValueError, match=f"k = {k!r} is not an integer"):
+        FourierDisc.from_entries(entries)
+
+
+@pytest.mark.parametrize("re, im", [([1.0, 2.0], [0.0, 0.0]), ([1.0, 2.0], [0.0])])
+def test_entries_reject_a_coefficient_of_another_length(re, im):
+    entries = holo(1.0, 2.0, 3.0).to_entries()
+    entries[2].update(re=re, im=im)
+    with pytest.raises(ValueError, match="coefficient at k = 2 has"):
+        FourierDisc.from_entries(entries)
+
+
 def test_arithmetic_and_constant():
     u = FourierDisc.constant(np.array([1.0 + 0j, 2.0]), 3)
     v = u + (-0.5) * u

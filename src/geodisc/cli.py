@@ -43,7 +43,7 @@ import sys
 import numpy as np
 
 from .disc import FourierDisc
-from .domain import DomainSpec, load_domain, verify_convexity
+from .domain import DomainSpec, _json_number, load_domain, verify_convexity
 from .errors import (
     DomainViolation,
     GeodiscError,
@@ -66,6 +66,10 @@ GAP_TOL = 1e-7
 CONSISTENCY_TOL = 1e-9
 
 _TRACE_COLUMNS = ("t", "step", "newton_iters", "residual", "xi_or_lambda", "holder_C")
+_METRICS_COLUMNS = (
+    "kind", "value", "xi_or_lambda", "certificate_gap", "wind_phi", "wind_G",
+    "residual_blended", "boundary_sup", "dual_tail_sup",
+)
 
 # fixed parameter pairs for the verify subcommand's consistency check
 _VERIFY_PAIRS = (
@@ -179,13 +183,17 @@ def _emit(obj, out, depth):
 # ---------------------------------------------------------------------------
 
 
+def _tol_res(args) -> float:
+    if not args.tol_res > 0:
+        raise ValueError(f"tol_res must be positive, got {args.tol_res}")
+    return args.tol_res
+
+
 def _newton(args) -> NewtonConfig:
     """The solver setting of a solve or table run, from --N and --tol-res."""
     if args.N < 8:
         raise ValueError(f"N must be at least 8, got {args.N}")
-    if not args.tol_res > 0:
-        raise ValueError(f"tol_res must be positive, got {args.tol_res}")
-    return NewtonConfig(N=args.N, tol_res=args.tol_res)
+    return NewtonConfig(N=args.N, tol_res=_tol_res(args))
 
 
 def _read_json(path: str):
@@ -270,24 +278,14 @@ def cmd_solve(args) -> int:
     ok = report.passed and result.certificate_gap < GAP_TOL
 
     if args.format == "csv":
-        header = (
-            "kind,value,xi_or_lambda,certificate_gap,wind_phi,wind_G,"
-            "residual_blended,boundary_sup,dual_tail_sup"
+        wind, res = result.windings, result.residuals
+        row = (
+            result.kind, result.value, result.xi_or_lambda, result.certificate_gap,
+            wind["phi"], wind["G"], res["blended"], res["boundary_sup"], res["dual_tail_sup"],
         )
-        row = ",".join(
-            [
-                result.kind,
-                fmt(result.value),
-                fmt(result.xi_or_lambda),
-                fmt(result.certificate_gap),
-                str(result.windings["phi"]),
-                str(result.windings["G"]),
-                fmt(result.residuals["blended"]),
-                fmt(result.residuals["boundary_sup"]),
-                fmt(result.residuals["dual_tail_sup"]),
-            ]
-        )
-        _write_text(_out_path(args.output, "metrics.csv"), header + "\n" + row + "\n")
+        # "\n" line ends, where _write_csv would write "\r\n"
+        text = ",".join(_METRICS_COLUMNS) + "\n" + ",".join(map(_csv_cell, row)) + "\n"
+        _write_text(_out_path(args.output, "metrics.csv"), text)
     else:
         _write_text(_out_path(args.output, "metrics.json"), canonical_json(result.to_dict()))
 
@@ -399,14 +397,9 @@ def _table_cell(domain, pts, newton, cell):
         passed=report.passed and result.certificate_gap < GAP_TOL,
     )
     M_plot = 128
-    fv = disc.f.boundary_values(M_plot)
-    samples = []
-    for m in range(M_plot):
-        row = [i, j, 2.0 * np.pi * m / M_plot]
-        for comp in fv[m]:
-            row.extend([comp.real, comp.imag])
-        samples.append(row)
-    return base, samples
+    theta = 2.0 * np.pi * np.arange(M_plot) / M_plot
+    fv = disc.f.boundary_values(M_plot).view(float)  # (re, im) of each component
+    return base, [[i, j, t, *reim] for t, reim in zip(theta, fv)]
 
 
 _TABLE_COLUMNS = (
@@ -460,11 +453,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    tol = _tol_res(args)
     obj = _read_json(args.symbol)
     try:
-        m = int(obj["m"])
+        m = _json_number(obj["m"], "m", integer=True)
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"malformed symbol file: {e!r}") from None
     if m < 1:
         raise ValueError(f"matrix size must be positive, got {m}")
@@ -473,7 +467,7 @@ def cmd_factorize(args) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed symbol entries: {e!r}") from None
 
-    fac = spectral_factorize(beta, tol=args.tol_res, N_work=args.n_work)
+    fac = spectral_factorize(beta, tol=tol, N_work=args.n_work)
     payload = {
         "m": m,
         "H": fac.H.to_entries(),
@@ -510,8 +504,6 @@ def _add_run_flags(p):
     p.add_argument("--seed", dest="seed_rng", type=int, default=0,
                    help="seed for sampled input checks")
     p.add_argument("--output", default=".", help="directory for artifacts")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="format of the metrics artifact")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--to", help="target point (Lempert function)")
     group.add_argument("--dir", help="direction vector (Kobayashi-Royden metric)")
     _add_run_flags(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="format of the metrics artifact")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="re-check a saved disc bundle")

@@ -234,12 +234,6 @@ def differentiate(u: FourierDisc) -> FourierDisc:
     return FourierDisc(coeffs, u.k_min - 1)
 
 
-def angular_derivative(u: FourierDisc) -> FourierDisc:
-    """d/dt of u(e^{it}): multiplies a_k by i*k, same band."""
-    coeffs = (1j * u.ks).reshape(-1, *([1] * len(u.target_shape))) * u.coeffs
-    return FourierDisc(coeffs, u.k_min)
-
-
 def _convolve_bands(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution along axis 0 of coefficient stacks."""
     Ka, Kb = a.shape[0], b.shape[0]
@@ -310,10 +304,9 @@ def analytic_completion(eta: FourierDisc) -> FourierDisc:
 def winding_values(vals: np.ndarray) -> int:
     """Winding number of a sampled closed curve via phase increments.
 
-    For curves that are not band-limited (values of a composite field on
-    the grid) the u'/u quadrature is unavailable; summing the principal
-    arguments of consecutive ratios is exact as long as no single step
-    turns by more than pi/2.
+    Summing the principal arguments of consecutive ratios is exact as long
+    as no single step turns by more than pi/2; a larger step raises
+    AmbiguousWinding.
     """
     vals = np.asarray(vals, dtype=complex).ravel()
     mods = np.abs(vals)
@@ -330,26 +323,13 @@ def winding_values(vals: np.ndarray) -> int:
 
 
 def winding(u: FourierDisc) -> int:
-    """Winding number of a scalar field around 0 via trapezoid quadrature.
-
-    Integrates u'/u over the circle on at least 8N samples.  Raises
+    """Winding number of a scalar field around 0, by winding_values on
+    max(8 * span, 512) samples, span = |k_min| + |k_max| + 1.  Raises
     ZeroOnCircle if |u| dips below MIN_MODULUS on the sample grid and
-    AmbiguousWinding if the quadrature is further than 0.25 from an
-    integer.
+    AmbiguousWinding if the grid is too coarse for the phase or the phase
+    total is further than 0.25 from an integer.
     """
     if u.target_shape != ():
         raise ValueError("winding is defined for scalar fields")
     span = abs(u.k_min) + abs(u.k_max) + 1
-    M = max(8 * span, 512)
-    vals = u.boundary_values(M)
-    dvals = angular_derivative(u).boundary_values(M)
-    if float(np.min(np.abs(vals))) < MIN_MODULUS:
-        raise ZeroOnCircle(
-            f"field modulus dips to {np.min(np.abs(vals)):.3e} on the circle"
-        )
-    total = np.sum(dvals / vals) / (1j * M)
-    w = float(np.real(total))
-    k = int(np.round(w))
-    if abs(w - k) >= 0.25:
-        raise AmbiguousWinding(f"quadrature {w:.6f} does not round decisively")
-    return k
+    return winding_values(u.boundary_values(max(8 * span, 512)))

@@ -26,7 +26,7 @@ class ZeroOnCircle(GeodiscError):
 
 
 class AmbiguousWinding(GeodiscError):
-    """The winding-number quadrature does not round decisively."""
+    """A sampled phase is too coarse or its total does not round decisively."""
 
 
 class NotSymmetric(GeodiscError):

@@ -437,6 +437,16 @@ def test_table_empty_grid(tmp_path, ball_file, capsys):
     assert len(read_csv(out / "boundary.csv")) == 1
 
 
+def test_table_takes_no_format_flag(tmp_path, ball_file, capsys):
+    out = tmp_path / "table_out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", ball_file, "--grid", "0,0;0.3,0", "--format", "csv",
+                  "--output", str(out)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table_rejects_exterior_grid_point(ball_file, capsys):
     code = cli.main(["table", ball_file, "--grid", "0,0;1.5,0"])
     assert code == 1
@@ -622,6 +632,26 @@ def test_factorize_rejects_a_fractional_frequency(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: malformed symbol entries" in err
     assert "k = 2.5 is not an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "m, flags, message",
+    [
+        (2.5, [], "m must be a 64-bit integer, got 2.5"),
+        ("2", [], "m must be a 64-bit integer, got '2'"),
+        (True, [], "m must be a 64-bit integer, got True"),
+        (1, ["--tol-res", "0"], "tol_res must be positive"),
+        (1, ["--tol-res=-1"], "tol_res must be positive"),
+        (1, ["--tol-res", "nan"], "tol_res must be positive"),
+    ],
+    ids=["fractional-m", "string-m", "bool-m", "zero-tol", "negative-tol", "nan-tol"],
+)
+def test_factorize_rejects_bad_input(tmp_path, capsys, m, flags, message):
+    sym = write_json(tmp_path / "beta.json", {"m": m, "entries": scalar_symbol_entries()})
+    out = tmp_path / "fac_out"
+    assert cli.main(["factorize", sym, "--output", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,14 +18,9 @@ from geodisc.errors import (
     NonConstantPairing,
     StepUnderflow,
 )
+from geodisc.linear import axis_ball_defining
 from geodisc.metrics import lempert_distance
-from geodisc.stationary import (
-    Constraint,
-    NewtonConfig,
-    axis_ball_defining,
-    residual,
-    verify_E,
-)
+from geodisc.stationary import Constraint, NewtonConfig, residual, verify_E
 
 
 def ball_domain(n=2):

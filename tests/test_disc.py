@@ -7,7 +7,6 @@ import pytest
 from geodisc.disc import (
     FourierDisc,
     analytic_completion,
-    angular_derivative,
     check_real,
     differentiate,
     dot_product,
@@ -88,13 +87,6 @@ def test_differentiate_power():
 def test_differentiate_constant_is_zero():
     du = differentiate(holo(5.0))
     assert np.all(du.coeffs == 0)
-
-
-def test_angular_derivative():
-    # d/dt of e^{ikt} is ik e^{ikt}
-    u = FourierDisc(np.array([1.0 + 0j]), 3)
-    du = angular_derivative(u)
-    assert du.coefficient(3) == pytest.approx(3j)
 
 
 def test_dot_product_no_conjugation():
@@ -180,6 +172,19 @@ def test_winding_counts_zeros_in_disc():
     assert winding(u) == 2
     # (zeta - 2): no root inside
     assert winding(holo(-2.0, 1.0)) == 0
+
+
+@pytest.mark.parametrize("root,expected", [(1 - 1e-3, 1), (1 - 1e-4, 1), (1 + 1e-4, 0)])
+def test_winding_of_a_root_near_the_circle(root, expected):
+    # a root this near the circle: the trapezoid rule for u'/u on 512 samples
+    # reads 1/(1 - root^512) here, 20 for root = 1 - 1e-4
+    assert winding(holo(-root, 1.0)) == expected
+
+
+def test_winding_raises_on_an_undersampled_curve():
+    # the phase of zeta - (1 - 1e-5) turns by more than pi/2 in one step at zeta = 1
+    with pytest.raises(AmbiguousWinding):
+        winding(holo(-(1 - 1e-5), 1.0))
 
 
 def test_winding_values_raises_on_zero():

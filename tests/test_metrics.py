@@ -20,7 +20,8 @@ from geodisc.metrics import (
     lempert_distance,
     poincare,
 )
-from geodisc.stationary import G_disc, NewtonConfig, axis_ball_defining, disc_from_f
+from geodisc.linear import axis_ball_defining
+from geodisc.stationary import G_disc, NewtonConfig, disc_from_f
 
 
 def ball_domain(n=2):

@@ -1,15 +1,17 @@
 """Tests for the stationary-disc system: residuals, Newton, normalization,
-certificate verification, the linearization at the axis disc, and the
-contraction solver behind it."""
+certificate verification, and the linear theory at the axis disc
+(geodisc.linear): the linearization and the contraction solver behind it."""
 
+import ast
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geodisc import disc as dc
-from geodisc import stationary
+from geodisc import linear, stationary
 from geodisc.continuation import ball_seed
 from geodisc.disc import FourierDisc
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
@@ -18,21 +20,23 @@ from geodisc.errors import (
     NoConvergence,
     NonConstantPairing,
 )
+from geodisc.linear import (
+    axis_ball_defining,
+    contraction_solve_report,
+    linearized_data,
+    linearized_forward,
+    solve_linearized_at_axis,
+)
 from geodisc.metrics import lempert_distance
 from geodisc.stationary import (
     Constraint,
     EReport,
     NewtonConfig,
     _holder_constant,
-    axis_ball_defining,
-    contraction_solve_report,
     disc_from_f,
-    linearized_data,
-    linearized_forward,
     newton_solve,
     normalize,
     residual,
-    solve_linearized_at_axis,
     verify_E,
 )
 
@@ -538,6 +542,25 @@ def test_reconstruction_rejects_non_stationary_f():
 # ---------------------------------------------------------------------------
 # linearization at the axis disc
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [
+    "axis_ball_defining", "linearized_data", "contraction_solve_report",
+    "solve_linearized_at_axis", "linearized_forward",
+])
+def test_stationary_reexports_the_linear_name(name):
+    assert getattr(stationary, name) is getattr(linear, name)
+
+
+def test_linear_does_not_import_stationary():
+    tree = ast.parse(Path(linear.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names}
+    assert not {m for m in modules if m.split(".")[-1] == "stationary"}
 
 
 def zero_phi(n=2):

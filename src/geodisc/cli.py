@@ -56,11 +56,6 @@ from .factor import spectral_factorize
 from .metrics import geodesic_consistency, kobayashi_royden, lempert_distance
 from .stationary import NewtonConfig, StationaryDisc, verify_E
 
-# Tolerance on |p(F(z),F(w)) - value| for a run to count as certified.
-# The ellipsoid acceptance suite works to 1e-7; ball-like runs come out
-# many orders tighter.
-GAP_TOL = 1e-7
-
 # geodesic_consistency is exact on the truncated space, so any healthy
 # bundle passes this with a wide margin.
 CONSISTENCY_TOL = 1e-9
@@ -250,6 +245,13 @@ def write_trace_csv(path: str, rows):
     _write_csv(path, _TRACE_COLUMNS, ([row.get(c, "") for c in _TRACE_COLUMNS] for row in rows))
 
 
+def _report_violations(lines) -> int:
+    """Print one stderr line per failed certificate; the exit code."""
+    for line in lines:
+        print(f"violated: {line}", file=sys.stderr)
+    return 2 if lines else 0
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -274,9 +276,6 @@ def cmd_solve(args) -> int:
             print(f"partial trace written to {trace_path}", file=sys.stderr)
         raise
 
-    report = result.report
-    ok = report.passed and result.certificate_gap < GAP_TOL
-
     if args.format == "csv":
         wind, res = result.windings, result.residuals
         row = (
@@ -290,26 +289,18 @@ def cmd_solve(args) -> int:
         _write_text(_out_path(args.output, "metrics.json"), canonical_json(result.to_dict()))
 
     bundle = disc.to_bundle()
-    bundle["certificates"] = dataclasses.asdict(report)
+    bundle["certificates"] = dataclasses.asdict(result.report)
     _write_text(_out_path(args.output, "disc.json"), canonical_json(bundle))
     write_trace_csv(_out_path(args.output, "trace.csv"), disc.diagnostics.get("trace", []))
 
+    violations = result.violations()
     print(
         f"{result.kind} value {fmt(result.value)}  "
         f"xi_or_lambda {fmt(result.xi_or_lambda)}  "
         f"certificate_gap {fmt(result.certificate_gap)}  "
-        f"certificates {'pass' if ok else 'FAIL'}"
+        f"certificates {'FAIL' if violations else 'pass'}"
     )
-    if not ok:
-        for line in report.violations():
-            print(f"violated: {line}", file=sys.stderr)
-        if result.certificate_gap >= GAP_TOL:
-            print(
-                f"violated: certificate gap {result.certificate_gap:.3e} "
-                f"exceeds {GAP_TOL:.0e}",
-                file=sys.stderr,
-            )
-    return 0 if ok else 2
+    return _report_violations(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -342,28 +333,20 @@ def cmd_verify(args) -> int:
         print(f"verification failed: {e}", file=sys.stderr)
         return 2
 
-    ok = report.passed and gap is not None and gap < CONSISTENCY_TOL
+    violations = report.violations()
+    if gap is not None and not gap < CONSISTENCY_TOL:
+        violations.append(f"geodesic consistency gap {gap:.3e} exceeds {CONSISTENCY_TOL:.0e}")
     payload = {
         "verify_E": dataclasses.asdict(report),
         "geodesic_consistency": gap,
         "probe": format_point(probe),
-        "passed": ok,
+        "passed": not violations,
     }
     text = canonical_json(payload)
     sys.stdout.write(text)
     if args.output is not None:
         _write_text(_out_path(args.output, "verify.json"), text)
-    if not ok:
-        for line in report.violations():
-            print(f"violated: {line}", file=sys.stderr)
-        if gap is not None and not gap < CONSISTENCY_TOL:
-            print(
-                f"violated: geodesic consistency gap {gap:.3e} "
-                f"exceeds {CONSISTENCY_TOL:.0e}",
-                file=sys.stderr,
-            )
-        return 2
-    return 0
+    return _report_violations(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +368,6 @@ def _table_cell(domain, pts, newton, cell):
         )
         return base, None
     result, disc = lempert_distance(domain, pts[i], pts[j], newton)
-    report = result.report
     base.update(
         value=result.value,
         xi=result.xi_or_lambda,
@@ -393,8 +375,8 @@ def _table_cell(domain, pts, newton, cell):
         residual=result.residuals["blended"],
         wind_phi=result.windings["phi"],
         wind_G=result.windings["G"],
-        holder_C=report.holder_constant,
-        passed=report.passed and result.certificate_gap < GAP_TOL,
+        holder_C=result.report.holder_constant,
+        passed=not result.violations(),
     )
     M_plot = 128
     theta = 2.0 * np.pi * np.arange(M_plot) / M_plot
@@ -454,6 +436,8 @@ def cmd_table(args) -> int:
 
 def cmd_factorize(args) -> int:
     tol = _tol_res(args)
+    if args.n_work is not None and args.n_work < 1:
+        raise ValueError(f"n_work must be positive, got {args.n_work}")
     obj = _read_json(args.symbol)
     try:
         m = _json_number(obj["m"], "m", integer=True)

@@ -275,10 +275,7 @@ def check_real(u: FourierDisc) -> float:
 
 def real_field(values: np.ndarray, N: int) -> FourierDisc:
     """Real boundary field from real grid values, band [-N, N]."""
-    M = values.shape[0]
     u = FourierDisc.from_boundary_values(np.asarray(values, dtype=complex), -N, N)
-    if M <= 2 * N:
-        raise ValueError("grid too small for band [-N, N]")
     # enforce exact conjugate symmetry (kills fft roundoff drift)
     c = u.coeffs
     sym = 0.5 * (c + np.conj(c[::-1]))

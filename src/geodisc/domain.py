@@ -409,7 +409,7 @@ def minkowski(domain: DomainSpec, point) -> float:
 class GaugeInterpolant:
     """r_t(x) = t*mu_D(x)^2 + (1-t)*|x|^2 - 1 for a general domain.
 
-    Exposes the same evaluation interface as PolynomialDefiningFunction,
+    Exposes value_gradient_hessian, the one evaluation the solver calls,
     with derivatives of mu^2 supplied by the implicit function theorem.
     """
 
@@ -417,13 +417,6 @@ class GaugeInterpolant:
         self.domain = domain
         self.t = float(t)
         self.n = domain.n
-
-    def value(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        flat = np.atleast_2d(X.reshape(-1, X.shape[-1]))
-        mu2 = self.domain.gauge_many(flat) ** 2
-        out = self.t * mu2 + (1.0 - self.t) * np.einsum("pi,pi->p", flat, flat) - 1.0
-        return out.reshape(X.shape[:-1])
 
     def value_gradient_hessian(self, X):
         X = np.asarray(X, dtype=float)

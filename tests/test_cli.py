@@ -17,7 +17,7 @@ import geodisc.cli as cli
 import geodisc.metrics as metrics
 from geodisc.continuation import PathResult
 from geodisc.domain import DomainSpec
-from geodisc.errors import NoConvergence, StepUnderflow
+from geodisc.errors import NewtonFailure, NoConvergence, StepUnderflow
 from geodisc.stationary import verify_E
 
 
@@ -287,6 +287,44 @@ def test_solve_writes_partial_trace_on_stall(tmp_path, ball_file, monkeypatch, c
     assert got[1][2] == "3"
 
 
+def test_solve_prints_exactly_the_failed_certificate(tmp_path, ball_file, monkeypatch, capsys):
+    def one_failure(*args):
+        return dataclasses.replace(verify_E(*args), wind_G=0)
+
+    monkeypatch.setattr(metrics, "verify_E", one_failure)
+    out = tmp_path / "fail"
+    code = cli.main(
+        ["solve", ball_file, "--from", "0.3,0", "--to", "0,0.3", "--N", "16", "--output", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "certificates FAIL" in captured.out
+    assert captured.err.splitlines() == ["violated: wind G(z, .) = 0, expected 1"]
+    # an uncertified run still writes every artifact
+    assert sorted(os.listdir(out)) == ["disc.json", "metrics.json", "trace.csv"]
+    bundle = json.loads((out / "disc.json").read_text())
+    assert bundle["certificates"]["passed"] is False
+
+
+def shift_poincare(monkeypatch, shift):
+    """Move every Poincare distance, and so the Lempert certificate gap, by shift."""
+    real = metrics.poincare
+    monkeypatch.setattr(metrics, "poincare", lambda a, b: real(a, b) + shift)
+
+
+def test_solve_fails_a_certificate_gap_above_the_tolerance(tmp_path, ball_file, monkeypatch, capsys):
+    shift_poincare(monkeypatch, 10 * metrics.GAP_TOL)
+    out = tmp_path / "gap"
+    code = cli.main(
+        ["solve", ball_file, "--from", "0.3,0", "--to", "0,0.3", "--N", "16", "--output", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "certificates FAIL" in captured.out
+    assert captured.err.splitlines() == ["violated: certificate gap 1.000e-06 exceeds 1e-07"]
+    assert json.loads((out / "disc.json").read_text())["certificates"]["passed"] is True
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -354,6 +392,36 @@ def test_verify_prints_exactly_the_failed_certificate(
     payload = json.loads((out / "verify.json").read_text())
     assert payload["verify_E"]["passed"] is False
     assert payload["passed"] is False
+
+
+def test_verify_fails_a_geodesic_consistency_gap(
+    tmp_path, ball_file, solved_bundle, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "geodesic_consistency", lambda disc, pairs: 1e-6)
+    out = tmp_path / "verify_out"
+    code = cli.main(["verify", ball_file, solved_bundle, "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["violated: geodesic consistency gap 1.000e-06 exceeds 1e-09"]
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["verify_E"]["passed"] is True
+    assert payload["passed"] is False
+
+
+def test_verify_reports_a_solver_failure(tmp_path, ball_file, solved_bundle, monkeypatch, capsys):
+    def stall(disc, pairs):
+        raise NewtonFailure("left inverse polish stalled at |G| = 1.000e-03")
+
+    monkeypatch.setattr(cli, "geodesic_consistency", stall)
+    out = tmp_path / "verify_out"
+    code = cli.main(["verify", ball_file, solved_bundle, "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "verification failed: left inverse polish stalled at |G| = 1.000e-03"
+    ]
+    assert not out.exists()
 
 
 def test_verify_rejects_malformed_bundle(tmp_path, ball_file, capsys):
@@ -426,6 +494,20 @@ def test_table_grid_is_symmetric(tmp_path, ball_file, capsys):
     boundary = read_csv(out / "boundary.csv")
     assert boundary[0][:3] == ["i", "j", "theta"]
     assert len(boundary) == 1 + 6 * 128
+
+
+def test_table_marks_a_certificate_gap_above_the_tolerance(
+    tmp_path, ball_file, monkeypatch, capsys
+):
+    shift_poincare(monkeypatch, 10 * metrics.GAP_TOL)
+    code = cli.main(
+        ["table", ball_file, "--grid", "0,0;0.3,0", "--N", "16", "--output", str(tmp_path)]
+    )
+    # an uncertified cell is a row, not a failure of the table
+    assert code == 0
+    capsys.readouterr()
+    rows = read_csv(tmp_path / "table.csv")
+    assert [row[11] for row in rows[1:]] == ["", "false", "false", ""]
 
 
 def test_table_empty_grid(tmp_path, ball_file, capsys):
@@ -644,8 +726,11 @@ def test_factorize_rejects_a_fractional_frequency(tmp_path, capsys):
         (1, ["--tol-res", "0"], "tol_res must be positive"),
         (1, ["--tol-res=-1"], "tol_res must be positive"),
         (1, ["--tol-res", "nan"], "tol_res must be positive"),
+        (1, ["--n-work", "0"], "n_work must be positive, got 0"),
+        (1, ["--n-work=-3"], "n_work must be positive, got -3"),
     ],
-    ids=["fractional-m", "string-m", "bool-m", "zero-tol", "negative-tol", "nan-tol"],
+    ids=["fractional-m", "string-m", "bool-m", "zero-tol", "negative-tol", "nan-tol",
+         "zero-n-work", "negative-n-work"],
 )
 def test_factorize_rejects_bad_input(tmp_path, capsys, m, flags, message):
     sym = write_json(tmp_path / "beta.json", {"m": m, "entries": scalar_symbol_entries()})

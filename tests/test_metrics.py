@@ -7,12 +7,12 @@ import inspect
 import numpy as np
 import pytest
 
+from geodisc import continuation, metrics, stationary
 from geodisc import disc as dc
-from geodisc import stationary
 from geodisc.continuation import solve_extremal
 from geodisc.disc import FourierDisc
-from geodisc.domain import DomainSpec, PolynomialDefiningFunction
-from geodisc.errors import DomainViolation, WindingNotOne
+from geodisc.domain import DomainSpec, GaugeInterpolant, PolynomialDefiningFunction
+from geodisc.errors import DomainViolation, NoConvergence, WindingNotOne
 from geodisc.metrics import (
     geodesic_consistency,
     kobayashi_royden,
@@ -128,6 +128,38 @@ def test_left_inverse_rejects_multiple_windings():
     bad = dataclasses.replace(d, f_tilde=shifted)
     with pytest.raises(WindingNotOne):
         left_inverse(bad, np.array([0.3, 0.0]))
+
+
+def count_polish_steps(monkeypatch):
+    """Each Newton polish step of left_inverse evaluates G' once."""
+    steps = []
+    real = metrics._derivative
+
+    class Counted(FourierDisc):
+        def __call__(self, zeta):
+            steps.append(zeta)
+            return super().__call__(zeta)
+
+    def derivative(G):
+        Gp = real(G)
+        return Counted(Gp.coeffs, Gp.k_min)
+
+    monkeypatch.setattr(metrics, "_derivative", derivative)
+    return steps
+
+
+def test_left_inverse_polishes_the_moment_estimate_near_the_circle(monkeypatch):
+    z, w = np.array([0.2, 0.3j]), np.array([-0.1, 0.4])
+    _, d = lempert_distance(ellipsoid_domain((1.0, 2.0)), z, w)
+    assert d.f.k_max == 64 + 1
+    steps = count_polish_steps(monkeypatch)
+    # the first moment of G'/G meets |G| < 1e-12 on its own up to |zeta| =
+    # 0.98; at 0.995 Newton takes two steps from it
+    for zeta, polish, tol in ((0.5j, 0, 1e-15), (-0.98, 0, 1e-13), (0.98j, 0, 1e-13),
+                              (0.995, 2, 1e-15)):
+        steps.clear()
+        assert abs(left_inverse(d, d.f(zeta)) - zeta) < tol
+        assert len(steps) == polish
 
 
 def test_geodesic_consistency_on_the_axis_disc():
@@ -372,6 +404,17 @@ def test_lempert_certificate_builds_G_once_per_point(monkeypatch):
     assert res.certificate_gap == abs(poincare(Fz, Fw) - res.value)
 
 
+def test_violations_add_the_certificate_gap_to_the_report():
+    res, _ = lempert_distance(ball_domain(), np.array([0.3, 0.0]), np.array([0.0, 0.3]))
+    assert res.violations() == res.report.violations() == []
+    # the gap test is a pass condition under `not`, so a NaN gap fails it
+    for gap, text in ((metrics.GAP_TOL, "1.000e-07"), (float("nan"), "nan")):
+        bad = dataclasses.replace(res, certificate_gap=gap)
+        assert bad.violations() == [f"certificate gap {text} exceeds 1e-07"]
+    failed = dataclasses.replace(res, report=dataclasses.replace(res.report, wind_G=0))
+    assert failed.violations() == ["wind G(z, .) = 0, expected 1"]
+
+
 def test_metrics_result_serializes():
     B = ball_domain()
     res, _ = kobayashi_royden(B, np.zeros(2, dtype=complex), np.array([1.0, 0.0]))
@@ -433,3 +476,56 @@ def test_quartic_pair_certified_after_band_refinement():
     lo = ball_formula(z / QUARTIC_RHO_OUT, w / QUARTIC_RHO_OUT)
     hi = ball_formula(z / QUARTIC_RHO_IN, w / QUARTIC_RHO_IN)
     assert lo <= res.value <= hi
+
+
+# ---------------------------------------------------------------------------
+# the homotopy march
+# ---------------------------------------------------------------------------
+
+
+def march_from_the_ball(monkeypatch):
+    """Fail the 12-iteration direct attempt at t = 1, so that every ball seed
+    marches; returns the defining function of each Newton solve that ran."""
+    ran = []
+    real = continuation.newton_solve
+
+    def solve(r, constraint, seed, config=None):
+        if config.max_iter == 12:
+            raise NoConvergence("forced failure of the direct attempt")
+        ran.append(r)
+        return real(r, constraint, seed, config)
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    return ran
+
+
+def test_march_grows_its_step_to_the_cap(monkeypatch):
+    E = ellipsoid_domain((1.0, 2.0))
+    z, w = np.array([0.2, 0.3j]), np.array([-0.1, 0.4])
+    direct, _ = lempert_distance(E, z, w)
+    march_from_the_ball(monkeypatch)
+    marched, d = lempert_distance(E, z, w)
+    trace = d.diagnostics["trace"]
+    # quick corrections grow the step by 1.5x up to 0.2, and the last step
+    # is what is left of [0, 1]
+    steps = [row["step"] for row in trace]
+    assert steps == pytest.approx([0.1, 0.15, 0.2, 0.2, 0.2, 0.15], abs=1e-15)
+    assert trace[-1]["t"] == 1.0
+    assert marched.value == pytest.approx(direct.value, abs=1e-12)
+    assert not marched.violations()
+
+
+def test_quartic_march_solves_on_the_gauge_interpolant(monkeypatch):
+    D = quartic_domain()
+    z = np.array([0.053 + 0.222j, -0.262 + 0.247j])
+    w = np.array([-0.22 - 0.221j, -0.298 - 0.061j])
+    direct, _ = lempert_distance(D, z, w)
+    ran = march_from_the_ball(monkeypatch)
+    marched, d = lempert_distance(D, z, w)
+    # five band-64 steps inside (0, 1) solve on t mu^2 + (1 - t)|x|^2 - 1;
+    # t = 1 and the band-128 refinement solve on the quartic itself
+    kinds = [type(r) for r in ran]
+    assert kinds == [GaugeInterpolant] * 5 + [PolynomialDefiningFunction] * 2
+    assert d.f.k_max == 128 + 1
+    assert marched.value == pytest.approx(direct.value, abs=1e-14)
+    assert not marched.violations()

@@ -482,7 +482,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(p):
-    p.add_argument("--N", type=int, default=64, help="Fourier truncation (>= 8)")
+    p.add_argument("--N", type=int, default=64,
+                   help="first Fourier band that can be accepted (>= 8); a coarse "
+                        "solve at N/2 seeds it, and bands 2N and 4N follow if it fails")
     p.add_argument("--tol-res", dest="tol_res", type=float, default=1e-10,
                    help="residual tolerance for Newton acceptance")
     p.add_argument("--seed", dest="seed_rng", type=int, default=0,

@@ -44,6 +44,14 @@ _MIN_STEP = 1e-6
 _MAX_STEPS = 500
 
 
+def _direct(newton: NewtonConfig, N: int) -> NewtonConfig:
+    """The budget of a Newton solve tried straight at t = 1 at band N: the
+    direct attempt of continue_path and the coarse solve of solve_extremal.
+    It is reduced so that a hopeless solve cannot eat the time the march
+    needs."""
+    return replace(newton, N=N, max_iter=12, max_halvings=3)
+
+
 @dataclass
 class PathResult:
     disc: StationaryDisc
@@ -168,12 +176,9 @@ def continue_path(family, seed: StationaryDisc, newton: NewtonConfig) -> PathRes
     1.5x up to 0.2.  A step below _MIN_STEP raises StepUnderflow carrying
     the path up to the last good disc.
     """
-    # the direct attempt gets a reduced iteration budget so a hopeless
-    # solve cannot eat the time the march needs
     r1, con1 = family(1.0)
-    direct = replace(newton, max_iter=12, max_halvings=3)
     try:
-        cand = newton_solve(r1, con1, seed, direct)
+        cand = newton_solve(r1, con1, seed, _direct(newton, newton.N))
         return PathResult(cand, 1.0, [_trace_row(1.0, 1.0, cand)])
     except (NoConvergence, LeftDomain, NonConstantPairing):
         pass
@@ -221,10 +226,13 @@ def solve_extremal(
 
     The domain is first dilated into the closed unit ball; the gauge
     homotopy then deforms the ball into the dilated target while the
-    (dilated) constraint stays fixed.  The result is mapped back to the
-    original coordinates, normalized, and carries the continuation trace
-    in its diagnostics.  Raises StepUnderflow (with the partial path
-    attached) when the continuation stalls.
+    (dilated) constraint stays fixed.  A coarse Newton solve at half the
+    band newton.N, straight at t = 1 from the ball seed, starts the band
+    ladder N, 2N, 4N; newton.N is the first band whose disc can be
+    accepted.  The result is mapped back to the original coordinates,
+    normalized, and carries the continuation trace in its diagnostics.
+    Raises StepUnderflow (with the partial path attached) when the
+    continuation stalls.
     """
     newton = newton or NewtonConfig()
     z = np.asarray(z, dtype=complex)
@@ -246,15 +254,25 @@ def solve_extremal(
     def family(t):
         return homotopy_domain(dscaled, t), con_s
 
+    # Coarse to fine: a direct solve from the ball at half the first band
+    # costs a fraction of a band-N iteration, and its disc, zero-padded,
+    # usually solves band N after 0 or 1 iterations.  The coarse disc is
+    # never marched, normalized or accepted: it seeds band N as a rejected
+    # band's disc seeds the next, and if its solve fails, kept stays None
+    # and band N starts from the ball.
     # Truncation error in the Fourier band scales like N|z|^N, so base
     # points close to the boundary can miss the pairing contract of the
-    # seed or of the normalization at the default band.  Retry with a
+    # seed or of the normalization at the first band.  Retry with a
     # doubled band, twice, before giving up.  A band whose converged disc
     # fails the pairing test seeds the next band's Newton solve with that
     # disc, zero-padded; only if that solve fails does the band restart
     # from the ball.
     r1 = family(1.0)[0]
-    kept = None
+    coarse = newton.N // 2
+    try:
+        kept = newton_solve(r1, con_s, ball_seed(z_s, con_s, N=coarse), _direct(newton, coarse))
+    except (NoConvergence, LeftDomain, NonConstantPairing):
+        kept = None
     for attempt in range(3):
         nwt = replace(newton, N=newton.N * 2**attempt)
         path = None

@@ -234,14 +234,40 @@ def differentiate(u: FourierDisc) -> FourierDisc:
     return FourierDisc(coeffs, u.k_min - 1)
 
 
+# entries of the product stack _convolve_bands reduces at once
+_CONV_STACK = 1 << 16
+
+
 def _convolve_bands(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution along axis 0 of coefficient stacks."""
+    """Full linear convolution along axis 0 of coefficient stacks.
+
+    out[k] = sum_i a[i] * b[k - i], added in increasing i onto zero as in
+    the loop `out[i : i + Kb] += a[i] * b`, so the bits are the loop's.
+    A chunk of rows of a multiplies shifted windows of the zero-padded b;
+    the chunk's stack, headed by the running sum, is reduced along axis 0,
+    which numpy adds row by row.  The chunk keeps the stack near
+    _CONV_STACK entries whatever the band.
+    """
     Ka, Kb = a.shape[0], b.shape[0]
     out_shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.zeros((Ka + Kb - 1, *out_shape), dtype=complex)
-    for i in range(Ka):
-        out[i : i + Kb] += a[i] * b
-    return out
+    rows = min(Ka, max(1, _CONV_STACK // ((Ka + Kb) * math.prod(out_shape))))
+    width = rows + Kb - 1
+    # the last chunk may run past the band into zeros that are cut off
+    out = np.zeros((Ka + Kb - 1 + rows - 1, *out_shape), dtype=complex)
+    pad = np.zeros((rows - 1, *b.shape[1:]), dtype=b.dtype)
+    # row j of shifted is b moved j places along a zero row of length width
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, b, pad]), width, axis=0
+    )
+    shifted = np.moveaxis(windows[::-1], -1, 1)
+    stack = np.empty((rows + 1, width, *out_shape), dtype=complex)
+    for i0 in range(0, Ka, rows):
+        c = min(rows, Ka - i0)
+        acc = out[i0 : i0 + width]
+        stack[0] = acc
+        np.multiply(a[i0 : i0 + c, None], shifted[:c], out=stack[1 : c + 1])
+        np.add.reduce(stack[: c + 1], axis=0, out=acc)
+    return out[: Ka + Kb - 1]
 
 
 def dot_product(u: FourierDisc, v: FourierDisc) -> FourierDisc:

@@ -87,8 +87,9 @@ def _monomials(X: np.ndarray, exps: np.ndarray) -> np.ndarray:
 class PolynomialDefiningFunction:
     """r(x) = sum_i c_i * prod_d x_d^{p_id} over the 2n real coordinates.
 
-    value, value_gradient_hessian and the gauge read one power table
-    (_monomials); the derivatives' tables are built once, in __init__.
+    value, value_gradient, value_gradient_hessian and the gauge read one
+    power table (_monomials); the derivatives' tables are built once, in
+    __init__.
     """
 
     def __init__(self, n: int, coeffs, exps):
@@ -149,20 +150,33 @@ class PolynomialDefiningFunction:
         flat = X.reshape(-1, X.shape[-1])
         return (_monomials(flat, self.exps) @ self.coeffs).reshape(X.shape[:-1])
 
-    def value_gradient_hessian(self, X):
+    def _derived(self, X, k: int):
+        """The first k derived polynomials at the points X (..., 2n), as
+        (k, points), and the shape of the point array."""
         X = np.asarray(X, dtype=float)
-        shape, dim = X.shape[:-1], X.shape[-1]
-        flat = X.reshape(-1, dim)
+        flat = X.reshape(-1, X.shape[-1])
         # one C-contiguous (points, m) @ (m,) product per derived polynomial:
         # BLAS sums a strided operand, and .sum(-1) sums, in another order
         derived = np.matmul(
-            _monomials(flat, self._derived_exps), self._derived_coeffs[..., None]
+            _monomials(flat, self._derived_exps[:k]), self._derived_coeffs[:k, :, None]
         )[..., 0]
-        val = derived[0]
+        return derived, X.shape[:-1]
+
+    def value_gradient(self, X):
+        """r and its gradient, the first 1 + 2n rows of the tables that
+        value_gradient_hessian contracts, with the same bits."""
+        dim = 2 * self.n
+        derived, shape = self._derived(X, 1 + dim)
         # C-contiguous copies: an F-ordered grad moves the FFTs downstream by a bit
+        grad = np.ascontiguousarray(derived[1:].T)
+        return derived[0].reshape(shape), grad.reshape(shape + (dim,))
+
+    def value_gradient_hessian(self, X):
+        dim = 2 * self.n
+        derived, shape = self._derived(X, len(self._derived_coeffs))
         grad = np.ascontiguousarray(derived[1 : 1 + dim].T)
         hess = np.ascontiguousarray(np.moveaxis(derived[self._hessian_index], -1, 0))
-        return val.reshape(shape), grad.reshape(shape + (dim,)), hess.reshape(shape + (dim, dim))
+        return derived[0].reshape(shape), grad.reshape(shape + (dim,)), hess.reshape(shape + (dim, dim))
 
     def rescale(self, sigma: float) -> "PolynomialDefiningFunction":
         """Defining function of D/sigma: r_new(x) = r(sigma * x), exact."""
@@ -409,8 +423,9 @@ def minkowski(domain: DomainSpec, point) -> float:
 class GaugeInterpolant:
     """r_t(x) = t*mu_D(x)^2 + (1-t)*|x|^2 - 1 for a general domain.
 
-    Exposes value_gradient_hessian, the one evaluation the solver calls,
-    with derivatives of mu^2 supplied by the implicit function theorem.
+    Exposes value_gradient_hessian and value_gradient, the evaluations
+    the solver calls, with derivatives of mu^2 supplied by the implicit
+    function theorem.
     """
 
     def __init__(self, domain: DomainSpec, t: float):
@@ -433,6 +448,10 @@ class GaugeInterpolant:
             grad.reshape(shape + (dim,)),
             hess.reshape(shape + (dim, dim)),
         )
+
+    def value_gradient(self, X):
+        val, grad, _ = self.value_gradient_hessian(X)
+        return val, grad
 
 
 def homotopy_domain(domain: DomainSpec, t: float):

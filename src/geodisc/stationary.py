@@ -469,7 +469,7 @@ def _rescaled_dual(f_tilde: FourierDisc, ftv: np.ndarray, c0: complex, rho_band:
 def _unit_normal(r, fv: np.ndarray):
     """(r o f, |grad r o f|, nu o f) at the boundary samples fv; raises
     DegenerateGradient where the gradient vanishes."""
-    val, grad, _ = r.value_gradient_hessian(real_coords(fv))
+    val, grad = r.value_gradient(real_coords(fv))
     gc = complex_coords(grad)
     gn = np.linalg.norm(gc, axis=1)
     if np.min(gn) < 1e-10:

@@ -287,12 +287,12 @@ def record_seed_bands(monkeypatch):
 
 
 def test_seed_failure_moves_to_the_next_band(monkeypatch):
-    # the band-64 ball seed misses its pairing test at |z| = 0.82; band 128
-    # meets it and the seed is already the extremal disc
+    # the band-32 and band-64 ball seeds miss their pairing test at
+    # |z| = 0.82; band 128 meets it and the seed is already the extremal disc
     bands = record_seed_bands(monkeypatch)
     z, w = np.array([0.82, 0.0]), np.array([0.0, 0.5])
     res, d = lempert_distance(ball_domain(), z, w)
-    assert bands == [64, 128]
+    assert bands == [32, 64, 128]
     assert d.f.k_max == 128 + 1
     expect = np.arctanh(np.sqrt(1.0 - (1.0 - 0.82**2) * (1.0 - 0.5**2)))
     assert res.value == pytest.approx(expect, abs=1e-12)
@@ -305,7 +305,7 @@ def test_seed_failure_raises_after_the_last_band(monkeypatch):
     with pytest.raises(NonConstantPairing):
         solve_extremal(ellipsoid_domain([1.0, 2.0]), np.array([0.0, 1.9]),
                        Constraint("two-point", np.array([0.3, 0.0])))
-    assert bands == [64, 128, 256]
+    assert bands == [32, 64, 128, 256]
 
 
 def record_newton_iters(monkeypatch):
@@ -323,12 +323,13 @@ def record_newton_iters(monkeypatch):
 
 def test_rejected_band_seeds_the_next_band(monkeypatch):
     # bands 64 and 128 converge but miss the pairing test at |z| = 0.85;
-    # each refines the next band's Newton solve instead of a new march
+    # each refines the next band's Newton solve instead of a new march; the
+    # coarse band-32 solve fails here, so band 64 starts from the ball
     bands = record_seed_bands(monkeypatch)
     iters = record_newton_iters(monkeypatch)
     z, w = np.array([0.85, 0.0]), np.array([-0.3, 0.0])
     res, d = lempert_distance(ellipsoid_domain([1.0, 2.0]), z, w)
-    assert bands == [64]
+    assert bands == [32, 64]
     assert d.f.k_max == 256 + 1
     assert sum(k for N, k in iters if N in (128, 256)) <= 4
     assert d.diagnostics["trace"][-1]["step"] == 0.0
@@ -348,6 +349,89 @@ def test_failed_refinement_falls_back_to_the_ball(monkeypatch):
     monkeypatch.setattr(continuation, "newton_solve", refuse_padded)
     z, w = np.array([0.8, 0.0]), np.array([-0.3, 0.0])
     res, d = lempert_distance(ellipsoid_domain([1.0, 2.0]), z, w)
-    assert bands == [64, 128]
+    assert bands == [32, 64, 128]
     assert d.f.k_max == 128 + 1
     assert res.value == pytest.approx(np.arctanh(1.1 / 1.24), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the coarse solve at half the first band
+# ---------------------------------------------------------------------------
+
+
+def ellipsoid_value(a, z, w):
+    """k_E(z, w) = k_B(L^-1 z, L^-1 w) for E(a) = L B, L = diag(a)."""
+    return np.arctanh(np.linalg.norm(mobius_ball(z / a, w / a)))
+
+
+def record_paths(monkeypatch):
+    paths = []
+    real = continuation.continue_path
+
+    def path(family, seed, newton):
+        paths.append(newton.N)
+        return real(family, seed, newton)
+
+    monkeypatch.setattr(continuation, "continue_path", path)
+    return paths
+
+
+# gauges 0.39 and 0.36 on E(1, 2)
+COARSE_A = np.array([1.0, 2.0])
+COARSE_Z = np.array([0.3 - 0.1j, 0.4 + 0.2j])
+COARSE_W = np.array([-0.2, -0.6 + 0.1j])
+
+
+def test_coarse_solve_leaves_band_64_almost_nothing_to_do(monkeypatch):
+    bands = record_seed_bands(monkeypatch)
+    iters = record_newton_iters(monkeypatch)
+    paths = record_paths(monkeypatch)
+    res, d = lempert_distance(ellipsoid_domain(COARSE_A), COARSE_Z, COARSE_W)
+    assert bands == [32]
+    assert [N for N, _ in iters] == [32, 64]
+    assert iters[1][1] <= 1
+    assert paths == []
+    assert d.f.k_max == 64 + 1
+    # the one trace row is band 64's refinement, which takes no step in t
+    assert [row["step"] for row in d.diagnostics["trace"]] == [0.0]
+    assert res.report.passed
+    assert res.value == pytest.approx(ellipsoid_value(COARSE_A, COARSE_Z, COARSE_W), abs=1e-12)
+
+
+@pytest.mark.parametrize("where", ["ball_seed", "newton_solve"])
+def test_failed_coarse_solve_runs_the_ladder_from_the_ball(monkeypatch, where):
+    # forced to fail at band 32, the solve takes the ball seed and the direct
+    # attempt of continue_path at band 64, and finds the same value
+    E = ellipsoid_domain(COARSE_A)
+    coarse_value = lempert_distance(E, COARSE_Z, COARSE_W)[0].value
+    real = getattr(continuation, where)
+
+    def refuse_band_32(*args, **kwargs):
+        band = args[3].N if where == "newton_solve" else kwargs["N"]
+        if band == 32:
+            raise NonConstantPairing("forced failure of the coarse solve")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, where, refuse_band_32)
+    bands = record_seed_bands(monkeypatch)
+    iters = record_newton_iters(monkeypatch)
+    paths = record_paths(monkeypatch)
+    res, d = lempert_distance(E, COARSE_Z, COARSE_W)
+    assert bands == [32, 64]
+    assert [N for N, _ in iters] == [64]
+    assert paths == [64]
+    assert d.f.k_max == 64 + 1
+    assert res.report.passed
+    assert res.value == pytest.approx(coarse_value, abs=1e-12)
+    assert res.value == pytest.approx(ellipsoid_value(COARSE_A, COARSE_Z, COARSE_W), abs=1e-12)
+
+
+def test_first_band_8_solves_coarse_at_band_4(monkeypatch):
+    # N = 8 is the smallest band the CLI takes; its coarse band is 4
+    iters = record_newton_iters(monkeypatch)
+    z, w = np.zeros(2, dtype=complex), np.array([0.1, 0.1j])
+    res, d = lempert_distance(ellipsoid_domain(COARSE_A), z, w, newton=NewtonConfig(N=8))
+    assert [N for N, _ in iters] == [4, 8]
+    assert d.f.k_max == 8 + 1
+    assert res.report.passed
+    assert res.value == pytest.approx(ellipsoid_value(COARSE_A, z, w), abs=1e-12)

@@ -1,9 +1,12 @@
 """Fourier calculus on circle maps: evaluation, products, harmonic
 completion, winding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from geodisc import disc as dc
 from geodisc.disc import (
     FourierDisc,
     analytic_completion,
@@ -98,6 +101,47 @@ def test_dot_product_no_conjugation():
     v = FourierDisc(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), 0)
     w = dot_product(u, v)
     assert w.coefficient(1) == pytest.approx(1.0 + 1j)
+
+
+def loop_convolve(a, b):
+    """The reference order: out[i : i + Kb] += a[i] * b for i = 0, 1, ..."""
+    Ka, Kb = a.shape[0], b.shape[0]
+    out = np.zeros((Ka + Kb - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:])), dtype=complex)
+    for i in range(Ka):
+        out[i : i + Kb] += a[i] * b
+    return out
+
+
+@pytest.mark.parametrize("stack", [dc._CONV_STACK, 7, 1])
+def test_convolve_bands_keeps_the_loop_bits(monkeypatch, stack):
+    # every chunk size, the last chunk short, one row, trailing dimensions
+    monkeypatch.setattr(dc, "_CONV_STACK", stack)
+    rng = np.random.default_rng(12)
+
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    cases = [(c(1), c(1)), (c(66), c(131)), (c(131), c(66)), (c(257), c(515)),
+             (c(3, 2), c(5, 2)), (c(7, 1, 3), c(4, 2, 1)), (rng.normal(size=9), c(12))]
+    for a, b in cases:
+        got = dc._convolve_bands(a, b)
+        assert got.shape == loop_convolve(a, b).shape
+        assert np.array_equal(got, loop_convolve(a, b))
+
+
+def test_convolve_bands_memory_is_bounded_at_band_1024():
+    # G(z, .) at band 1024: a dense 1025 x 3075 product stack would be 50 MB
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=1025) + 1j * rng.normal(size=1025)
+    b = rng.normal(size=2051) + 1j * rng.normal(size=2051)
+    tracemalloc.start()
+    try:
+        out = dc._convolve_bands(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(out, loop_convolve(a, b))
 
 
 def test_analytic_completion_cos():

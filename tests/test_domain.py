@@ -131,6 +131,26 @@ def test_power_table_matches_per_polynomial_powers_bit_for_bit():
                 assert np.array_equal(hess[:, a, b], ev(*lower(*ga, b)))
 
 
+def test_value_gradient_is_value_gradient_hessian_without_the_hessian():
+    # the unit normal reads this slice; it must keep every bit
+    rng = np.random.default_rng(6)
+    for n, monomials in list(FD_POLYNOMIALS.values()) + [(2, quartic().defining.monomials())]:
+        r = PolynomialDefiningFunction.from_monomials(n, monomials)
+        for shape in [(257,), (4, 33), (1,)]:
+            X = rng.normal(size=shape + (2 * n,))
+            v, g, _ = r.value_gradient_hessian(X)
+            v2, g2 = r.value_gradient(X)
+            assert v2.shape == v.shape and g2.shape == g.shape
+            assert np.array_equal(v2, v) and np.array_equal(g2, g)
+            assert g2.flags.c_contiguous
+    # the gauge interpolant of a general domain offers the same pair
+    r_t = homotopy_domain(quartic().rescaled()[0], 0.5)
+    X = 0.3 * rng.normal(size=(16, 4))
+    v, g, _ = r_t.value_gradient_hessian(X)
+    v2, g2 = r_t.value_gradient(X)
+    assert np.array_equal(v2, v) and np.array_equal(g2, g)
+
+
 def test_wirtinger_quadric():
     r = PolynomialDefiningFunction.unit_ball(2)
     zeta = np.exp(0.7j)

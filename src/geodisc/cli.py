@@ -36,6 +36,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -106,7 +107,7 @@ def parse_point(text: str, n: int) -> np.ndarray:
 def fmt(x) -> str:
     """17-significant-digit rendering used for every float we print."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"refusing to print non-finite value {x!r}")
     return format(x, ".17g")
 
@@ -223,6 +224,8 @@ def _write_text(path: str, text: str):
 
 
 def _csv_cell(v) -> str:
+    if type(v) is float:  # most cells: boundary samples come as Python floats
+        return fmt(v)
     if v is None or v == "":
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -381,7 +384,7 @@ def _table_cell(domain, pts, newton, cell):
     M_plot = 128
     theta = 2.0 * np.pi * np.arange(M_plot) / M_plot
     fv = disc.f.boundary_values(M_plot).view(float)  # (re, im) of each component
-    return base, [[i, j, t, *reim] for t, reim in zip(theta, fv)]
+    return base, [[i, j, t, *reim] for t, reim in zip(theta.tolist(), fv.tolist())]
 
 
 _TABLE_COLUMNS = (

@@ -2,16 +2,18 @@
 
 A domain in C^n is described by a real polynomial r in the 2n interleaved
 real coordinates x = (Re z1, Im z1, ..., Re zn, Im zn) with D = {r < 0}.
-This module provides exact polynomial calculus (values, gradients, Hessians,
+This module provides polynomial calculus (values, gradients, Hessians,
 Wirtinger derivatives), the Minkowski gauge with derivatives via the
 implicit function theorem, sampled convexity verification, and the homotopy
-family joining a domain to the unit ball.  One table of coordinate powers
-serves the value, the gradient, the Hessian and the gauge's degree split;
-the coefficient and exponent tables of the derivatives are built eagerly,
-once per polynomial.  For every kind of domain the gauge mu(x) is the
-largest positive root of one polynomial per ray: with r(c*x) =
-sum_d h_d(x) c^d split by degree, mu(x) = 1/c is the largest positive
-root s of sum_d h_d(x) s^(D-d).
+family joining a domain to the unit ball.  Each polynomial writes r, its
+gradient and its Hessian once, as one coefficient matrix over the distinct
+monomials they contain; at a set of points all of them are column slices
+of one product of that matrix with the monomial values, which come from
+coordinate powers built by repeated multiplication.  The gauge's degree
+split reads the same monomial values.  For every kind of domain the gauge
+mu(x) is the largest positive root of one polynomial per ray: with
+r(c*x) = sum_d h_d(x) c^d split by degree, mu(x) = 1/c is the largest
+positive root s of sum_d h_d(x) s^(D-d).
 """
 
 from __future__ import annotations
@@ -70,26 +72,29 @@ def _as_real_point(point, n: int) -> np.ndarray:
 
 
 def _monomials(X: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """prod_d X[j, d]^exps[..., i, d] at the points X (points, 2n), as a
-    C-contiguous (..., points, m) array gathered from one table X[j, d]^k.
-
-    The product runs coordinate by coordinate, in the order np.prod takes.
-    """
-    # exponents along the last axis: a broadcast scalar exponent would take
-    # numpy's x*x fast path for x**2, whose bits differ from pow's
-    powers = X[..., None] ** np.arange(exps.max(initial=0) + 1)
-    mono = powers[:, 0, exps[..., 0]]
+    """prod_d X[j, d]^exps[i, d] at the points X (points, 2n), as a
+    (points, m) array gathered from one (points, 2n, P+1) table of the
+    powers X[j, d]^k, built by cumulative products x^k = x^(k-1) * x, so a
+    monomial of degree d carries at most d - 1 roundings."""
+    powers = np.empty(X.shape + (exps.max(initial=0) + 1,))
+    powers[..., 0] = 1.0
+    for k in range(1, powers.shape[-1]):
+        np.multiply(powers[..., k - 1], X, out=powers[..., k])
+    mono = powers[:, 0, exps[:, 0]]
     for d in range(1, X.shape[1]):
-        mono *= powers[:, d, exps[..., d]]
-    return np.ascontiguousarray(np.moveaxis(mono, 0, -2))
+        mono *= powers[:, d, exps[:, d]]
+    return mono
 
 
 class PolynomialDefiningFunction:
     """r(x) = sum_i c_i * prod_d x_d^{p_id} over the 2n real coordinates.
 
-    value, value_gradient, value_gradient_hessian and the gauge read one
-    power table (_monomials); the derivatives' tables are built once, in
-    __init__.
+    __init__ derives r, its gradient and its Hessian as K = 1 + 2n + n(2n+1)
+    polynomials and folds them into the U distinct exponent rows that carry
+    a nonzero coefficient and one (U, K) coefficient matrix.  value,
+    value_gradient and value_gradient_hessian are column slices of the one
+    product (points, U) @ (U, K), and the gauge's degree split reads the
+    same monomial table.
     """
 
     def __init__(self, n: int, coeffs, exps):
@@ -101,16 +106,21 @@ class PolynomialDefiningFunction:
         if np.any(self.exps < 0):
             raise ValueError("negative exponents are not allowed")
         # r, then d_a r, then d_b d_a r for a <= b: coefficients (K, m) and
-        # exponents (K, m, 2n), each derivative lowering one exponent, clamped at 0
+        # exponents (K, m, 2n); each derivative multiplies by the exponent it
+        # lowers, so an exponent below 0 only ever carries a zero coefficient
         dim = 2 * self.n
         eye = np.eye(dim, dtype=int)
         grad_c = self.coeffs * self.exps.T
-        grad_e = np.maximum(self.exps - eye[:, None, :], 0)
+        grad_e = self.exps - eye[:, None, :]
         a, b = np.triu_indices(dim)
         hess_c = grad_c[a] * grad_e[a, :, b]
-        hess_e = np.maximum(grad_e[a] - eye[b][:, None, :], 0)
-        self._derived_coeffs = np.concatenate([self.coeffs[None], grad_c, hess_c])
-        self._derived_exps = np.concatenate([self.exps[None], grad_e, hess_e])
+        hess_e = grad_e[a] - eye[b][:, None, :]
+        coeffs = np.concatenate([self.coeffs[None], grad_c, hess_c])
+        exps = np.concatenate([self.exps[None], grad_e, hess_e])
+        k, i = np.nonzero(coeffs)
+        self._exps, row = np.unique(exps[k, i], axis=0, return_inverse=True)
+        self._coeffs = np.zeros((len(self._exps), len(coeffs)))
+        np.add.at(self._coeffs, (row.ravel(), k), coeffs[k, i])
         self._hessian_index = np.empty((dim, dim), dtype=int)
         self._hessian_index[a, b] = self._hessian_index[b, a] = 1 + dim + np.arange(a.size)
 
@@ -145,38 +155,30 @@ class PolynomialDefiningFunction:
         exps.append(np.zeros(2 * n, dtype=int))
         return PolynomialDefiningFunction(n, coeffs, exps)
 
-    def value(self, X) -> np.ndarray:
+    def _evaluate(self, X, hessian: bool):
+        """r, its gradient and, if asked, its Hessian at the points X (..., 2n):
+        column slices of the one product (points, U) @ (U, K)."""
         X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, X.shape[-1])
-        return (_monomials(flat, self.exps) @ self.coeffs).reshape(X.shape[:-1])
+        shape, dim = X.shape[:-1], 2 * self.n
+        derived = _monomials(X.reshape(-1, X.shape[-1]), self._exps) @ self._coeffs
+        # C-contiguous copies: an F-ordered grad moves the FFTs downstream by a bit
+        out = [
+            np.ascontiguousarray(derived[:, 0]).reshape(shape),
+            np.ascontiguousarray(derived[:, 1 : 1 + dim]).reshape(shape + (dim,)),
+        ]
+        if hessian:
+            out.append(derived[:, self._hessian_index].reshape(shape + (dim, dim)))
+        return tuple(out)
 
-    def _derived(self, X, k: int):
-        """The first k derived polynomials at the points X (..., 2n), as
-        (k, points), and the shape of the point array."""
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, X.shape[-1])
-        # one C-contiguous (points, m) @ (m,) product per derived polynomial:
-        # BLAS sums a strided operand, and .sum(-1) sums, in another order
-        derived = np.matmul(
-            _monomials(flat, self._derived_exps[:k]), self._derived_coeffs[:k, :, None]
-        )[..., 0]
-        return derived, X.shape[:-1]
+    def value(self, X) -> np.ndarray:
+        return self._evaluate(X, hessian=False)[0]
 
     def value_gradient(self, X):
-        """r and its gradient, the first 1 + 2n rows of the tables that
-        value_gradient_hessian contracts, with the same bits."""
-        dim = 2 * self.n
-        derived, shape = self._derived(X, 1 + dim)
-        # C-contiguous copies: an F-ordered grad moves the FFTs downstream by a bit
-        grad = np.ascontiguousarray(derived[1:].T)
-        return derived[0].reshape(shape), grad.reshape(shape + (dim,))
+        """r and its gradient, with the bits of value_gradient_hessian."""
+        return self._evaluate(X, hessian=False)
 
     def value_gradient_hessian(self, X):
-        dim = 2 * self.n
-        derived, shape = self._derived(X, len(self._derived_coeffs))
-        grad = np.ascontiguousarray(derived[1 : 1 + dim].T)
-        hess = np.ascontiguousarray(np.moveaxis(derived[self._hessian_index], -1, 0))
-        return derived[0].reshape(shape), grad.reshape(shape + (dim,)), hess.reshape(shape + (dim, dim))
+        return self._evaluate(X, hessian=True)
 
     def rescale(self, sigma: float) -> "PolynomialDefiningFunction":
         """Defining function of D/sigma: r_new(x) = r(sigma * x), exact."""
@@ -229,9 +231,9 @@ def _first_root_along_rays(r, X: np.ndarray):
     X = np.asarray(X, dtype=float)
     if np.any(np.linalg.norm(X, axis=1) == 0.0):
         raise ValueError("gauge ray through the origin is undefined")
-    deg = r.exps.sum(axis=1)
-    D = int(deg.max())
-    H = _monomials(X, r.exps) @ (r.coeffs[:, None] * (deg[:, None] == np.arange(D + 1)))
+    D = int(r.exps.sum(axis=1).max())
+    deg = r._exps.sum(axis=1)
+    H = _monomials(X, r._exps) @ (r._coeffs[:, :1] * (deg[:, None] == np.arange(D + 1)))
     if np.any(H[:, 0] == 0.0):
         raise DomainViolation("0 lies on {r = 0}, so rays from 0 have no first crossing")
 

@@ -3,7 +3,9 @@ JSON, and the four subcommands end to end through main()."""
 
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -508,6 +510,59 @@ def test_table_marks_a_certificate_gap_above_the_tolerance(
     capsys.readouterr()
     rows = read_csv(tmp_path / "table.csv")
     assert [row[11] for row in rows[1:]] == ["", "false", "false", ""]
+
+
+def reference_csv(header, rows) -> bytes:
+    """The CSV rule cell by cell: empty for None and "", true/false for
+    bools, integers as integers, floats at 17 significant digits, strings
+    as they are, quoted by csv.writer, rows ended by CRLF."""
+
+    def cell(v):
+        if v is None or isinstance(v, str):
+            return "" if v is None else v
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *([cell(v) for v in row] for row in rows)])
+    return buf.getvalue().encode()
+
+
+def test_csv_cells_keep_their_bytes(tmp_path):
+    header = ["i", "j", "a", "b", "c", "p", "q", "n", "e", "z"]
+    row = [0, np.int64(3), 0.1, np.float64(-2.5e-300), np.float32(0.1), True,
+           np.bool_(False), None, "", "0.3+0.1i,-0.2-0i"]
+    cli._write_csv(str(tmp_path / "cells.csv"), header, [row])
+    expected = (b"i,j,a,b,c,p,q,n,e,z\r\n0,3,0.10000000000000001,-2.5e-300,"
+                b'0.10000000149011612,true,false,,,"0.3+0.1i,-0.2-0i"\r\n')
+    assert (tmp_path / "cells.csv").read_bytes() == expected == reference_csv(header, [row])
+    for bad in (float("nan"), np.float64("inf"), -math.inf):
+        with pytest.raises(ValueError, match="refusing to print non-finite value"):
+            cli._write_csv(str(tmp_path / "bad.csv"), header[:1], [[bad]])
+
+
+def test_table_csvs_keep_their_bytes(tmp_path, ball_file, monkeypatch, capsys):
+    """table.csv and boundary.csv hold exactly what the CSV rule makes of
+    their rows: the diagonal's empty cells, the indices, the passed flags
+    and the boundary samples."""
+    written = {}
+    real = cli._write_csv
+
+    def keep(path, header, rows):
+        written[os.path.basename(path)] = (header, rows := list(rows))
+        real(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", keep)
+    out = tmp_path / "table_out"
+    assert cli.main(["table", ball_file, "--grid", "0,0; 0.3,0; 0,0.2i",
+                     "--N", "24", "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(written) == ["boundary.csv", "table.csv"]
+    for name, (header, rows) in written.items():
+        assert (out / name).read_bytes() == reference_csv(header, rows)
 
 
 def test_table_empty_grid(tmp_path, ball_file, capsys):

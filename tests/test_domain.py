@@ -2,6 +2,8 @@
 convexity sampling, and the JSON domain format."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +78,13 @@ FD_POLYNOMIALS = {
                    (1.0, [0, 0, 0, 2, 0, 0]), (-0.3, [1, 0, 0, 0, 1, 0]),
                    (-1.0, [0, 0, 0, 0, 0, 0])]),
     "constant": (2, [(-1.0, [0, 0, 0, 0])]),
+    # |z1|^2 + |z2 - 0.2 z1^3|^2 - 1, the image of the ball under the shear
+    # (z1, z2) -> (z1, z2 + 0.2 z1^3): degree 6, so powers up to x^6
+    "shear_cubic": (2, [(1.0, [2, 0, 0, 0]), (1.0, [0, 2, 0, 0]), (1.0, [0, 0, 2, 0]),
+                        (1.0, [0, 0, 0, 2]), (0.04, [6, 0, 0, 0]), (0.04, [0, 6, 0, 0]),
+                        (0.12, [4, 2, 0, 0]), (0.12, [2, 4, 0, 0]), (-0.4, [3, 0, 1, 0]),
+                        (1.2, [1, 2, 1, 0]), (-1.2, [2, 1, 0, 1]), (0.4, [0, 3, 0, 1]),
+                        (-1.0, [0, 0, 0, 0])]),
 }
 
 
@@ -103,32 +112,39 @@ def test_gradient_matches_finite_differences(poly, shape):
             assert np.max(np.abs(fd - hess)) < 50 * h**2 + 1e-10
 
 
-def test_power_table_matches_per_polynomial_powers_bit_for_bit():
-    """value, gradient and Hessian equal np.prod(x ** p) @ c summed over the
-    monomials of r and of each derivative, with exponents lowered and
-    clamped at 0 one step at a time."""
+def exact_derivative(monomials, x, lowered):
+    """The derivative of r by the coordinates in `lowered` (none: r itself) at
+    the float point x, in exact rational arithmetic, and the sum of the
+    magnitudes of its terms."""
+    x = [Fraction(v) for v in x]
+    total = scale = Fraction(0)
+    for c, p in monomials:
+        c, p = Fraction(c), list(p)
+        for d in lowered:
+            c, p[d] = c * p[d], p[d] - 1
+        if c:
+            term = c * math.prod(v**k for v, k in zip(x, p))
+            total, scale = total + term, scale + abs(term)
+    return total, scale
 
-    def lower(c, e, d):
-        lowered = e.copy()
-        lowered[:, d] = np.maximum(e[:, d] - 1, 0)
-        return c * e[:, d], lowered
 
+def test_polynomial_calculus_matches_exact_rational_arithmetic():
+    """value, gradient and Hessian entries lie within (deg + m) 2^-53 sum|c_i mono_i|
+    of the exact rational value on the same float inputs, and value is the
+    first column of value_gradient_hessian, bit for bit."""
     rng = np.random.default_rng(6)
     for n, monomials in list(FD_POLYNOMIALS.values()) + [(2, quartic().defining.monomials())]:
         r = PolynomialDefiningFunction.from_monomials(n, monomials)
-        X = rng.normal(size=(257, 2 * n))
-
-        def ev(c, e):
-            return np.prod(X[:, None, :] ** e, axis=-1) @ c
-
+        ulps = (max(sum(p) for _, p in monomials) + len(monomials)) * Fraction(1, 2**53)
+        X = rng.normal(size=(33, 2 * n))
         v, g, hess = r.value_gradient_hessian(X)
-        assert np.array_equal(v, ev(r.coeffs, r.exps))
         assert np.array_equal(r.value(X), v)
-        for a in range(2 * n):
-            ga = lower(r.coeffs, r.exps, a)
-            assert np.array_equal(g[:, a], ev(*ga))
-            for b in range(a, 2 * n):
-                assert np.array_equal(hess[:, a, b], ev(*lower(*ga, b)))
+        for x, vj, gj, hj in zip(X, v, g, hess):
+            entries = [((), vj)] + [((a,), gj[a]) for a in range(2 * n)]
+            entries += [((a, b), hj[a, b]) for a in range(2 * n) for b in range(a, 2 * n)]
+            for lowered, got in entries:
+                exact, scale = exact_derivative(monomials, x, lowered)
+                assert abs(Fraction(float(got)) - exact) <= ulps * scale
 
 
 def test_value_gradient_is_value_gradient_hessian_without_the_hessian():

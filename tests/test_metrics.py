@@ -3,6 +3,7 @@ Kobayashi-Royden metric, left inverses, and the certificate gaps."""
 
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from geodisc import continuation, metrics, stationary
 from geodisc import disc as dc
 from geodisc.continuation import solve_extremal
 from geodisc.disc import FourierDisc
-from geodisc.domain import DomainSpec, GaugeInterpolant, PolynomialDefiningFunction
+from geodisc.domain import DomainSpec, GaugeInterpolant, PolynomialDefiningFunction, load_domain
 from geodisc.errors import DomainViolation, NoConvergence, WindingNotOne
 from geodisc.metrics import (
     geodesic_consistency,
@@ -266,6 +267,17 @@ def test_ellipsoid_reference_values_match_the_linear_map():
         assert abs(value - ball_formula(x / a, y / a)) < 1e-10
 
 
+def test_ellipsoid_pair_of_the_table_fault_grid_certifies_at_band_128():
+    # the pair behind geodisc table's grid 0.8,0;-0.3,0 on E(1,2): the solve
+    # certifies; only the table's 128-point boundary sample of the disc fails
+    z, w = np.array([0.8, 0.0]), np.array([-0.3, 0.0])
+    res, disc = lempert_distance(ellipsoid_domain(E12_AXES), z, w)
+    assert disc.f.k_max == 128 + 1
+    assert not res.violations()
+    assert abs(res.value - np.arctanh(1.1 / 1.24)) < 1e-12
+    assert abs(res.value - 1.4081318928712219) < 1e-12
+
+
 def test_distance_is_symmetric():
     E = ellipsoid_domain((1.0, 1.2))
     z = np.array([0.3 + 0.1j, -0.2j])
@@ -476,6 +488,50 @@ def test_quartic_pair_certified_after_band_refinement():
     lo = ball_formula(z / QUARTIC_RHO_OUT, w / QUARTIC_RHO_OUT)
     hi = ball_formula(z / QUARTIC_RHO_IN, w / QUARTIC_RHO_IN)
     assert lo <= res.value <= hi
+
+
+# D = {|z1|^2 + |z2 - c z1^2|^2 < 1} is the image of the ball under the
+# automorphism Phi(z) = (z1, z2 + c z1^2) of C^2, so k_D(z, w) =
+# k_B(Phi^-1 z, Phi^-1 w) and kappa_D(z; v) = kappa_B(Phi^-1 z; v1, v2 - 2c z1 v1):
+# exact answers on a degree-4 domain that is neither circular nor Reinhardt
+SHEAR = 0.2
+
+
+def shear(u):
+    return np.array([u[0], u[1] + SHEAR * u[0] ** 2])
+
+
+def shear_domain(tmp_path):
+    """D written as a polynomial domain file and read back by load_domain."""
+    c = SHEAR
+    monomials = [
+        (1.0, [2, 0, 0, 0]), (1.0, [0, 2, 0, 0]), (1.0, [0, 0, 2, 0]), (1.0, [0, 0, 0, 2]),
+        (c * c, [4, 0, 0, 0]), (c * c, [0, 4, 0, 0]), (2 * c * c, [2, 2, 0, 0]),
+        (-2 * c, [2, 0, 1, 0]), (2 * c, [0, 2, 1, 0]), (-4 * c, [1, 1, 0, 1]),
+        (-1.0, [0, 0, 0, 0]),
+    ]
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps(
+        {"n": 2, "kind": "polynomial", "monomials": [{"c": a, "p": p} for a, p in monomials]}
+    ))
+    return load_domain(json.loads(path.read_text()))
+
+
+def test_shear_pair_matches_the_ball(tmp_path):
+    # ball radii 0.52 and 0.57
+    u, y = np.array([0.1 + 0.5j, -0.1 + 0.08j]), np.array([0.12 + 0.3j, 0.42 - 0.22j])
+    res, _ = lempert_distance(shear_domain(tmp_path), shear(u), shear(y))
+    assert not res.violations()
+    assert abs(res.value - ball_formula(u, y)) < 1e-10
+
+
+def test_shear_direction_matches_the_ball(tmp_path):
+    # ball radius 0.32
+    u, v = np.array([-0.25 - 0.11j, -0.15 - 0.06j]), np.array([0.9 - 0.74j, 0.09 - 0.92j])
+    res, _ = kobayashi_royden(shear_domain(tmp_path), shear(u), v)
+    assert not res.violations()
+    v_ball = np.array([v[0], v[1] - 2 * SHEAR * u[0] * v[0]])
+    assert abs(res.value - ball_kappa(u, v_ball)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -279,13 +279,17 @@ def solve_extremal(
         try:
             if kept is not None:
                 try:
-                    refined = newton_solve(r1, con_s, kept, nwt)
-                    path = PathResult(refined, 1.0, [_trace_row(1.0, 0.0, refined)])
+                    path = PathResult(newton_solve(r1, con_s, kept, nwt), 1.0)
                 except (NoConvergence, LeftDomain, NonConstantPairing):
                     pass
-            if path is None:
+            refined = path is not None
+            if not refined:
                 path = continue_path(family, ball_seed(z_s, con_s, N=nwt.N), nwt)
             disc_s = normalize(path.disc)
+            if refined:
+                # a refined disc's row, with its Holder estimate, is built
+                # only once normalize has accepted the disc
+                path.trace.append(_trace_row(1.0, 0.0, path.disc))
             break
         except (NonConstantPairing, StepUnderflow):
             if attempt == 2:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import disc as dc
 from . import linear
@@ -281,32 +281,74 @@ class _Layout:
         return v
 
 
+def _windows(spec: np.ndarray, start: int, row_step: int, col_step: int, rows: int,
+             cols: int) -> np.ndarray:
+    """The read-only (..., rows, cols) view W[..., a, b] = spec[(start +
+    row_step*a + col_step*b) mod M] of a spectrum spec of shape (M, ...),
+    steps +-1: a Hankel matrix when the steps agree, a Toeplitz one when
+    they differ.
+
+    Only the segment seg[t] = spec[first + row_step*t], t < rows + cols - 1,
+    is copied; W[a, b] is seg[a + b] (Hankel) or seg[a + cols - 1 - b]
+    (Toeplitz), both inside the segment.  The strides are set directly,
+    as sliding_window_view sets them, without its argument checks, which
+    at band 32 cost about as much as filling the block.
+    """
+    first = start if row_step == col_step else start + col_step * (cols - 1)
+    seg = spec[(first + row_step * np.arange(rows + cols - 1)) % len(spec)]
+    s = seg.strides[0]
+    if row_step != col_step:
+        seg, s_col = seg[cols - 1 :], -s
+    else:
+        s_col = s
+    return as_strided(
+        seg, seg.shape[1:] + (rows, cols), seg.strides[1:] + (s, s_col), writeable=False
+    )
+
+
+def _sum_and_turn(A, B, sum_re, sum_im, turn_re, turn_im) -> None:
+    """Write the real and imaginary parts of A + B and of i(A - B) into
+    four real arrays, with the operations of numpy's complex arithmetic
+    (up to the sign of a zero: Re i(A - B) = B.imag - A.imag).  The
+    operands come with the column frequency last, and order="C" keeps it
+    the inner loop: left to pick, numpy runs loops of length n."""
+    np.add(A.real, B.real, out=sum_re, order="C")
+    np.add(A.imag, B.imag, out=sum_im, order="C")
+    np.subtract(B.imag, A.imag, out=turn_re, order="C")
+    np.subtract(A.real, B.real, out=turn_im, order="C")
+
+
 def _jacobian(layout: _Layout, d: dict, constraint: Constraint, f: FourierDisc, mult: float) -> np.ndarray:
     """Dense analytic Jacobian of the collocated residual.
 
     Columns follow _Layout.pack, rows follow _Layout.residual_vector.
     Multiplying a grid field by zeta^k shifts its spectrum by k, so every
-    block is an index gather (mod M) from the spectrum of one grid field;
-    see the expressions in the inline comments.
+    block is a Toeplitz or Hankel matrix in (row frequency, column
+    frequency) over the spectrum of one grid field; see the expressions in
+    the inline comments.  Each is a strided view (_windows) of one short
+    segment of that spectrum, and the parts of A + B and i(A - B) are
+    written straight into real views of J, so no (rows, columns, n, n)
+    gather or complex temporary is built.
     """
     n, N, Nf = layout.n, layout.N, layout.Nf
     M, nf = d["M"], layout.n_f
     base2, base3 = 2 * N + 1, 2 * N + 1 + 2 * n * N
     k = np.arange(1, Nf + 1)  # f columns carry zeta^k
-    p = np.arange(N + 1)  # c1 rows carry frequency p
     kr = np.arange(1, N + 1)  # c2 rows carry frequency -kr, q columns zeta^kr
     J = np.zeros((layout.size, layout.size))
     R = np.fft.fft(d["r_z"], axis=0) / M  # (M, n)
 
     # --- c1 rows, f columns: d(r o f) = 2 Re[(r_z o f) . df] -------------
-    # r_z zeta^k has coefficient R[p - k] at frequency p
-    A = R[(p[:, None] - k) % M]  # (p, k, j)
-    B = np.conj(R[(-p[:, None] - k) % M])
-    C = np.stack([A + B, 1j * (A - B)], axis=-1)  # (p, k, j, re/im column)
-    c1 = J[:base2, :nf].reshape(base2, Nf, n, 2)
-    c1[0] = C[0].real
-    c1[1::2] = C[1:].real
-    c1[2::2] = C[1:].imag
+    # r_z zeta^k has coefficient R[p - k] at frequency p; row 0 (p = 0) and
+    # rows 2p - 1 hold the real parts of A + B and i(A - B), rows 2p their
+    # imaginary parts
+    A = _windows(R, -1, 1, -1, N + 1, Nf)  # R[p - k], (j, p, k)
+    B = _windows(np.conj(R), -1, -1, -1, N + 1, Nf)  # conj R[-p - k]
+    c1 = J[:base2, :nf].reshape(base2, Nf, n, 2).transpose(2, 0, 1, 3)  # (j, row, k, re/im)
+    re, im = c1[:, 1::2], c1[:, 2::2]
+    _sum_and_turn(A[:, 1:], B[:, 1:], re[..., 0], im[..., 0], re[..., 1], im[..., 1])
+    np.add(A[:, 0].real, B[:, 0].real, out=c1[:, 0, :, 0])
+    np.subtract(B[:, 0].imag, A[:, 0].imag, out=c1[:, 0, :, 1])
 
     # --- c2 rows, f columns ------------------------------------------------
     # field_l = zeta(1+q) [ (r_zz)_{lj} c zeta^k + (r_zzbar)_{lj} conj(c zeta^k) ]
@@ -314,25 +356,22 @@ def _jacobian(layout: _Layout, d: dict, constraint: Constraint, f: FourierDisc, 
     P0 = (d["Z"] * (1.0 + d["qv"]))[:, None, None]
     S1 = np.fft.fft(P0 * d["r_zz"], axis=0) / M  # (M, l, j)
     S2 = np.fft.fft(P0 * d["r_zzbar"], axis=0) / M
-    A = S1[(-kr[:, None] - k) % M]  # (kr, k, l, j)
-    B = S2[(-kr[:, None] + k) % M]
-    C = np.stack([A + B, 1j * (A - B)], axis=-1).transpose(2, 0, 1, 3, 4)
-    c2 = J[base2:base3, :nf].reshape(n, N, 2, Nf, n, 2)
-    c2[:, :, 0] = C.real
-    c2[:, :, 1] = C.imag
+    A = _windows(S1, -2, -1, -1, N, Nf)  # (l, j, kr, k)
+    B = _windows(S2, 0, -1, 1, N, Nf)
+    # (l, j, kr, row re/im, k, column re/im)
+    c2 = J[base2:base3, :nf].reshape(n, N, 2, Nf, n, 2).transpose(0, 4, 1, 2, 3, 5)
+    re, im = c2[..., 0, :, :], c2[..., 1, :, :]
+    _sum_and_turn(A, B, re[..., 0], im[..., 0], re[..., 1], im[..., 1])
 
     # --- c2 rows, q columns ------------------------------------------------
     # d field = zeta * dq * (r_z o f); dq basis: 1, zeta^k + zeta^-k,
     # i zeta^k - i zeta^-k; zeta r_z has coefficient R[m - 1] at frequency m
-    A = np.moveaxis(R[(-kr[:, None] - kr - 1) % M], -1, 0)  # (l, row kr, column k)
-    B = np.moveaxis(R[(-kr[:, None] + kr - 1) % M], -1, 0)
-    C = np.empty((n, N, 2 * N + 1), dtype=complex)
-    C[..., 0] = R[(-kr - 1) % M].T
-    C[..., 1::2] = A + B
-    C[..., 2::2] = 1j * (A - B)
+    A = _windows(R, -3, -1, -1, N, N)  # R[-kr - k - 1], (l, kr, k)
+    B = _windows(R, -1, -1, 1, N, N)  # R[-kr + k - 1]
     cq = J[base2:base3, nf : nf + 2 * N + 1].reshape(n, N, 2, 2 * N + 1)
-    cq[:, :, 0] = C.real
-    cq[:, :, 1] = C.imag
+    _split(cq[..., 0], R[(-kr - 1) % M].T)  # the column dq = 1: R[-kr - 1]
+    re, im = cq[:, :, 0], cq[:, :, 1]
+    _sum_and_turn(A, B, re[..., 1::2], im[..., 1::2], re[..., 2::2], im[..., 2::2])
 
     # --- c3 rows: d f(xi) = sum_k xi^k df_k + f'(xi) dxi, or ------------
     # d [f'(0) - lambda v] = df_1 - v dlambda
@@ -499,7 +538,42 @@ def _dual_from_normal(f: FourierDisc, nu: np.ndarray, n_coeffs: int):
     return rho_vals, FourierDisc(spec[: min(n_coeffs, M // 2)].copy(), 0)
 
 
-_HOLDER_BLOCK = 32  # offsets per block of the Holder scan
+# offsets per block of the Holder scan
+_HOLDER_BLOCK = 8
+# Fourier modes of the samples that _holder_bounds bounds one by one, the
+# largest in norm; the rest are bounded together
+_HOLDER_MODES = 32
+# relative and absolute (times the summed mode norms) margin of the bounds:
+# the rounding of the FFT, of the bound and of a scanned ratio is below
+# 1e-11 of either for the sample counts used here (m <= 2 n_pts)
+_HOLDER_MARGIN = 1e-9
+
+
+def _holder_bounds(sub: np.ndarray, M: int, stride: int) -> np.ndarray:
+    """Upper bounds U[s - 1] of |f_i - f_j| / sqrt|zeta_i - zeta_j| over the
+    pairs (i, j = i + s mod m) of the m samples sub (n, m), s = 1..m//2,
+    taken every stride-th point of the M-point grid.
+
+    With c the DFT of the samples divided by m, f_j - f_i = sum_k c_k
+    w^(ik) (w^(ks) - 1), w = exp(2 pi i/m), so the numerator is at most
+    sum_k |c_k| 2|sin(pi k s/m)|.  All but the _HOLDER_MODES largest |c_k|
+    enter with 2|sin| <= 2, so the bound costs m/2 x _HOLDER_MODES sines
+    even when no mode is small.  The denominator is the smaller of the
+    pair's two possible grid distances, 2 sin(pi D/M) at D = stride*s, and at
+    D = stride*s - e for a pair that wraps past sample m - 1, where
+    e = stride*m - M (0 unless stride divides M).
+    """
+    m = sub.shape[1]
+    s = np.arange(1, m // 2 + 1)
+    c = np.linalg.norm(np.fft.fft(sub, axis=1), axis=0) / m
+    total = float(np.sum(c))
+    order = np.argsort(c)
+    kb, rest = order[-_HOLDER_MODES:], order[:-_HOLDER_MODES]
+    sines = np.abs(np.sin(np.pi / m * (s[:, None] * kb % m)))
+    num = 2.0 * (sines @ c[kb]) + 2.0 * float(np.sum(c[rest]))
+    D = np.stack([stride * s, stride * s - (stride * m - M)]) % M
+    dist = 2.0 * np.sin(np.pi / M * np.min(np.minimum(D, M - D), axis=0))
+    return (num + _HOLDER_MARGIN * total) * (1.0 + _HOLDER_MARGIN) / np.sqrt(dist)
 
 
 def _holder_constant(vals: np.ndarray, n_pts: int) -> float:
@@ -509,11 +583,20 @@ def _holder_constant(vals: np.ndarray, n_pts: int) -> float:
 
     The scan runs by offset: the pairs (i, i + s mod m) for s = 1..m//2
     meet every unordered pair of the m samples once (twice at s = m/2).
-    The samples are stored component-major and extended by their first
-    m//2 columns, so window s of a sliding-window view is the cyclic shift
-    by s, read in place; the grid points are windowed the same way.  The
-    offsets are scanned in blocks of _HOLDER_BLOCK, which bounds every
-    temporary at (n, block, m) whatever the grid size.
+    The (n, m) samples are extended by their first m//2 columns, so
+    window s of a sliding-window view is the cyclic shift by s, read in
+    place; the grid points are windowed the same way.  The offsets are
+    scanned in blocks of _HOLDER_BLOCK, which bounds every temporary at
+    (n, block, m) whatever the grid size.
+
+    The blocks follow the offsets in decreasing order of a Fourier bound
+    on their ratios (_holder_bounds), and the scan stops at the first
+    block whose bound is below the largest ratio found: no ratio of a
+    later offset can reach it.  On a smooth disc the largest ratios sit at
+    the widest offsets, and the bound admits from a few percent to about
+    two fifths of the offsets.  Samples that are not finite, or so large
+    or small that a squared difference could overflow or underflow, are
+    scanned in full, in offset order.
 
     The constant reaches EReport.holder_constant and the holder_C column
     of trace.csv, so the scan keeps the bits of the all-pairs matrix and
@@ -533,9 +616,16 @@ def _holder_constant(vals: np.ndarray, n_pts: int) -> float:
     h = m // 2
     f_win = sliding_window_view(np.concatenate([sub, sub[:, :h]], axis=1), m, axis=1)
     z_win = sliding_window_view(np.concatenate([zs, zs[:h]]), m)
+    offsets, bound = np.arange(1, h + 1), None
+    if 1e-100 < np.max(np.abs(sub)) < 1e100:
+        bound = _holder_bounds(sub, M, stride)
+        order = np.argsort(-bound, kind="stable")
+        offsets, bound = offsets[order], bound[order]
     peaks = []
-    for s in range(1, h + 1, _HOLDER_BLOCK):
-        block = slice(s, s + _HOLDER_BLOCK)
+    for b in range(0, h, _HOLDER_BLOCK):
+        if bound is not None and peaks and bound[b] < max(peaks):
+            break
+        block = offsets[b : b + _HOLDER_BLOCK]
         # a C-ordered difference keeps the component sum a reduction of
         # contiguous rows
         d = np.subtract(f_win[:, block], sub[:, None, :], order="C")

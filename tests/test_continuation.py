@@ -354,6 +354,45 @@ def test_failed_refinement_falls_back_to_the_ball(monkeypatch):
     assert res.value == pytest.approx(np.arctanh(1.1 / 1.24), abs=1e-10)
 
 
+def quartic_domain():
+    """sum x_d^2 + 1/2 sum x_d^4 - 1 over the four real coordinates of C^2."""
+    monomials = [(-1.0, [0, 0, 0, 0])]
+    for d in range(4):
+        for power, c in ((2, 1.0), (4, 0.5)):
+            p = [0, 0, 0, 0]
+            p[d] = power
+            monomials.append((c, p))
+    return DomainSpec(2, "polynomial", PolynomialDefiningFunction.from_monomials(2, monomials))
+
+
+def test_rejected_band_builds_no_trace_row(monkeypatch):
+    # a pair of the benchmark's quartic pool: band 64 refines the coarse
+    # disc and normalize rejects it, band 128 refines again and passes; only
+    # that disc gets a trace row, the same row as before the band was
+    # accepted
+    rows, solved = [], []
+    real_row, real_solve = continuation._trace_row, continuation.newton_solve
+
+    def row(t, step, disc):
+        rows.append(disc)
+        return real_row(t, step, disc)
+
+    def solve(r, constraint, seed, config=None):
+        solved.append(real_solve(r, constraint, seed, config))
+        return solved[-1]
+
+    monkeypatch.setattr(continuation, "_trace_row", row)
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    z = np.array([0.053 + 0.222j, -0.262 + 0.247j])
+    w = np.array([-0.22 - 0.221j, -0.298 - 0.061j])
+    res, d = lempert_distance(quartic_domain(), z, w)
+    assert [s.q.k_max for s in solved] == [32, 64, 128]
+    assert len(rows) == 1 and rows[0] is solved[-1]
+    assert d.f.k_max == 128 + 1
+    assert d.diagnostics["trace"] == [real_row(1.0, 0.0, solved[-1])]
+    assert res.report.passed
+
+
 # ---------------------------------------------------------------------------
 # the coarse solve at half the first band
 # ---------------------------------------------------------------------------

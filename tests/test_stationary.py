@@ -152,11 +152,11 @@ def quartic_defining():
     return PolynomialDefiningFunction.from_monomials(2, monomials)
 
 
-def newton_system(r, n, N, mode, taper=0):
-    """The collocated residual map F, the point x0 and the analytic Jacobian
-    at x0, for a random disc near the axis disc.  Coefficient k of the
-    random tails of f and q is divided by k**taper."""
-    from geodisc.stationary import _field_data, _grid_size, _jacobian, _Layout, _parts_from_grid
+def jacobian_point(r, n, N, mode, taper=0):
+    """(layout, z0, constraint, f, q, mult, M) at a random disc near the
+    axis disc.  Coefficient k of the random tails of f and q is divided by
+    k**taper."""
+    from geodisc.stationary import _grid_size, _Layout
 
     rng = np.random.default_rng(11)
     layout = _Layout(n, N)
@@ -172,10 +172,16 @@ def newton_system(r, n, N, mode, taper=0):
     f = FourierDisc(fc, 0)
     q = 0.05 * real_band_field(rng, N)
     q = FourierDisc(q.coeffs / np.maximum(np.abs(np.arange(-N, N + 1)), 1) ** taper, -N)
-    mult = 0.8
     con = Constraint(mode, np.array([1.0, 0.2j, -0.1][:n]))
+    return layout, z0, con, f, q, 0.8, _grid_size(r, N)
 
-    M = _grid_size(r, N)
+
+def newton_system(r, n, N, mode, taper=0):
+    """The collocated residual map F, the point x0 and the analytic Jacobian
+    at x0, for a random disc near the axis disc (jacobian_point)."""
+    from geodisc.stationary import _field_data, _jacobian, _parts_from_grid
+
+    layout, z0, con, f, q, mult, M = jacobian_point(r, n, N, mode, taper)
 
     def F(x):
         fx, qx, mx = layout.unpack(x, z0)
@@ -187,6 +193,66 @@ def newton_system(r, n, N, mode, taper=0):
     J = _jacobian(layout, d0, con, f, mult)
     assert J.shape == (layout.size, layout.size)
     return F, x0, J
+
+
+def jacobian_gather(layout, d, constraint, f, mult):
+    """The Jacobian by index gathers mod M from the three spectra, one
+    (rows, columns, n, n) fancy-index gather per block: the reference that
+    the strided-view _jacobian must match entry for entry."""
+    n, N, Nf = layout.n, layout.N, layout.Nf
+    M, nf = d["M"], layout.n_f
+    base2, base3 = 2 * N + 1, 2 * N + 1 + 2 * n * N
+    k = np.arange(1, Nf + 1)
+    p = np.arange(N + 1)
+    kr = np.arange(1, N + 1)
+    J = np.zeros((layout.size, layout.size))
+    R = np.fft.fft(d["r_z"], axis=0) / M
+
+    A = R[(p[:, None] - k) % M]
+    B = np.conj(R[(-p[:, None] - k) % M])
+    C = np.stack([A + B, 1j * (A - B)], axis=-1)
+    c1 = J[:base2, :nf].reshape(base2, Nf, n, 2)
+    c1[0] = C[0].real
+    c1[1::2] = C[1:].real
+    c1[2::2] = C[1:].imag
+
+    P0 = (d["Z"] * (1.0 + d["qv"]))[:, None, None]
+    S1 = np.fft.fft(P0 * d["r_zz"], axis=0) / M
+    S2 = np.fft.fft(P0 * d["r_zzbar"], axis=0) / M
+    A = S1[(-kr[:, None] - k) % M]
+    B = S2[(-kr[:, None] + k) % M]
+    C = np.stack([A + B, 1j * (A - B)], axis=-1).transpose(2, 0, 1, 3, 4)
+    c2 = J[base2:base3, :nf].reshape(n, N, 2, Nf, n, 2)
+    c2[:, :, 0] = C.real
+    c2[:, :, 1] = C.imag
+
+    A = np.moveaxis(R[(-kr[:, None] - kr - 1) % M], -1, 0)
+    B = np.moveaxis(R[(-kr[:, None] + kr - 1) % M], -1, 0)
+    C = np.empty((n, N, 2 * N + 1), dtype=complex)
+    C[..., 0] = R[(-kr - 1) % M].T
+    C[..., 1::2] = A + B
+    C[..., 2::2] = 1j * (A - B)
+    cq = J[base2:base3, nf : nf + 2 * N + 1].reshape(n, N, 2, 2 * N + 1)
+    cq[:, :, 0] = C.real
+    cq[:, :, 1] = C.imag
+
+    if constraint.mode == "direction":
+        w = (k == 1).astype(float)
+        dmult = -constraint.vector
+    else:
+        w = mult**k
+        dmult = dc.differentiate(f).band(0, max(f.k_max - 1, 0))(complex(mult))
+    jj, part = np.arange(n)[:, None], np.arange(2)[None, :]
+    J[base3 : base3 + 2 * n, :nf].reshape(n, 2, Nf, n, 2)[jj, part, :, jj, part] = w
+    stationary._split(J[base3 : base3 + 2 * n, -1].reshape(n, 2), dmult)
+
+    J[-1, nf] = 1.0
+    J[-1, nf + 1 : nf + 2 * N + 1 : 2] = 2.0
+    return J
+
+
+def e12_defining():
+    return PolynomialDefiningFunction.ellipsoid((1.0, 2.0))
 
 
 JACOBIAN_DOMAINS = {
@@ -228,6 +294,51 @@ def test_jacobian_matches_directional_differences_at_band_64(mode):
         e /= np.linalg.norm(e)
         fd = (F(x0 + h * e) - F(x0 - h * e)) / (2 * h)
         assert float(np.max(np.abs(J @ e - fd))) < 1e-7
+
+
+def jacobian_args(domain, N, mode):
+    from geodisc.stationary import _field_data
+
+    make_r, n = dict(JACOBIAN_DOMAINS, **{"E(1,2)": (e12_defining, 2)})[domain]
+    r = make_r()
+    layout, _, con, f, q, mult, M = jacobian_point(r, n, N, mode, taper=2)
+    return layout, _field_data(r, f, q, M), con, f, mult
+
+
+@pytest.mark.parametrize("mode", ["direction", "two-point"])
+@pytest.mark.parametrize(
+    "domain, N",
+    [(dom, N) for dom in ("E(1,1.2)", "quartic", "E(1,1.2,1.5)") for N in (1, 2, 6, 31)]
+    + [("E(1,2)", 64), ("E(1,1.2,1.5)", 64), ("quartic", 128)],
+)
+def test_jacobian_views_match_the_gathers(domain, N, mode):
+    # every block read from strided views of spectrum segments holds the
+    # same floats as the index gathers; only the sign of a zero may differ.
+    # E(1,2) at N = 64 collocates on M = 512 points, so indices wrap mod M
+    from geodisc.stationary import _jacobian
+
+    args = jacobian_args(domain, N, mode)
+    if domain == "E(1,2)":
+        assert args[1]["M"] == 512
+    J = _jacobian(*args)
+    assert np.array_equal(J, jacobian_gather(*args))
+
+
+def test_jacobian_memory_is_j_plus_the_spectra():
+    # at N = 256 (M = 2048), J holds 19.0 MB; the per-block gathers and
+    # complex temporaries of jacobian_gather held 29.9 MB beyond it, the
+    # strided views hold the spectra and their segments, under 1 MB
+    from geodisc.stationary import _jacobian
+
+    args = jacobian_args("E(1,2)", 256, "two-point")
+    tracemalloc.start()
+    try:
+        J = _jacobian(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.nbytes == 1542**2 * 8
+    assert peak < J.nbytes + 15e6
 
 
 def test_layout_round_trips_a_disc():
@@ -487,6 +598,102 @@ def test_holder_offset_scan_matches_all_pairs_on_a_solved_disc():
     M = max(8 * max(disc.f.k_max, disc.q.k_max), 512)
     vals = disc.f.boundary_values(M)
     assert _holder_constant(vals, 384) == holder_all_pairs(vals, 384)
+
+
+def cusp_samples(M):
+    """|sin theta|^(1/2) in two components: its largest ratios sit at the
+    narrowest offsets, across theta = 0 and pi, and its Fourier modes decay
+    like k^(-3/2)."""
+    cusp = np.sqrt(np.abs(np.sin(2 * np.pi * np.arange(M) / M)))
+    return np.stack([cusp, 0.5j * cusp], axis=1)
+
+
+def slowly_decaying_samples(M):
+    """A disc with random coefficients of size k^(-3/2) up to k = 257."""
+    k = np.arange(1, 258)
+    rng = np.random.default_rng(2056)
+    coeffs = (rng.standard_normal((k.size, 2)) + 1j * rng.standard_normal((k.size, 2))) / k[:, None] ** 1.5
+    return FourierDisc(np.vstack([np.zeros((1, 2)), coeffs]), 0).boundary_values(M)
+
+
+@pytest.mark.parametrize("M", [520, 1032])
+def test_holder_scan_matches_all_pairs_on_a_cusp(M):
+    # the bound keeps more than half of the offsets here, and scans them
+    # against the order of a smooth disc's ratios
+    vals = cusp_samples(M)
+    assert _holder_constant(vals, 384) == holder_all_pairs(vals, 384)
+
+
+def spike_samples(M):
+    """One nonzero sample, the last one that the stride keeps."""
+    vals = np.zeros((M, 2), dtype=complex)
+    vals[(M - 1) // max(M // 384, 1) * max(M // 384, 1)] = [1.0, 0.5j]
+    return vals
+
+
+@pytest.mark.parametrize("samples", [slowly_decaying_samples, spike_samples])
+def test_holder_scan_matches_all_pairs_at_a_stride_that_does_not_divide_M(samples):
+    # M = 2056 keeps every 5th sample, 412 of them, and 5 does not divide
+    # 2056: the pair of the last and the first sample is 1 grid step apart,
+    # not 5.  On the slowly decaying disc no offset's bound falls below the
+    # largest ratio, so every offset is scanned; on the spike the largest
+    # ratio is that 1-step pair's
+    vals = samples(2056)
+    assert _holder_constant(vals, 384) == holder_all_pairs(vals, 384)
+
+
+def test_holder_scan_stops_only_below_the_largest_ratio(monkeypatch):
+    # valid but adversarial bounds: every offset but m/2 is bounded just
+    # above the largest ratio, which offset m/2 reaches and is scanned
+    # last.  The block before it comes within 6e-4 of that ratio, so a scan
+    # that stopped at a bound 0.1% above its running maximum would miss it
+    M = 512
+    vals = np.stack([dc.unit_grid(M), 0.5j * dc.unit_grid(M)], axis=1)
+    C = holder_all_pairs(vals, 384)
+    bound = np.full(M // 2, C * (1 + 1e-6))
+    bound[-1] = C
+    monkeypatch.setattr(stationary, "_holder_bounds", lambda sub, M, stride: bound.copy())
+    assert _holder_constant(vals, 384) == C
+
+
+def holder_by_offset(vals, n_pts):
+    """The largest ratio over the pairs (i, i + s mod m), s = 1..m//2, from
+    the full pair matrix."""
+    M = vals.shape[0]
+    stride = max(M // n_pts, 1)
+    sub = vals[::stride]
+    zs = dc.unit_grid(M)[::stride]
+    m = zs.shape[0]
+    dfz = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
+    dzz = np.sqrt(np.abs(zs[:, None] - zs[None, :]))
+    i = np.arange(m)
+    return np.array([np.max(dfz[i, (i + s) % m] / dzz[i, (i + s) % m]) for s in range(1, m // 2 + 1)])
+
+
+@pytest.mark.parametrize(
+    "samples, M",
+    [("cusp", 520), ("slow", 2056), ("slow", 1032), ("spike", 2056), ("noise", 520),
+     ("noise", 2056), ("line", 2056)],
+)
+def test_holder_bounds_hold_offset_by_offset(samples, M):
+    # the pruning is exact only if every offset's bound is at least its
+    # largest ratio; at M = 2056 a pair that wraps past the last of the 412
+    # samples is 4 grid steps closer than its offset says, and the spike's
+    # largest ratio is such a pair's
+    from geodisc.stationary import _holder_bounds
+
+    rng = np.random.default_rng(M)
+    noise = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
+    vals = {
+        "cusp": cusp_samples,
+        "slow": slowly_decaying_samples,
+        "spike": spike_samples,
+        "noise": lambda M: noise,
+        "line": lambda M: dc.unit_grid(M)[:, None] * noise[0] + noise[1],
+    }[samples](M)
+    stride = max(M // 384, 1)
+    bound = _holder_bounds(vals[::stride].T, M, stride)
+    assert np.all(bound >= holder_by_offset(vals, 384))
 
 
 def test_holder_nan_sample_fails_verification(ellipsoid_disc, monkeypatch):

@@ -487,7 +487,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_flags(p):
     p.add_argument("--N", type=int, default=64,
                    help="first Fourier band that can be accepted (>= 8); a coarse "
-                        "solve at N/2 seeds it, and bands 2N and 4N follow if it fails")
+                        "solve at N/2 seeds it, and larger bands up to 4N follow if it "
+                        "fails, each picked from the last disc's decay or else doubled")
     p.add_argument("--tol-res", dest="tol_res", type=float, default=1e-10,
                    help="residual tolerance for Newton acceptance")
     p.add_argument("--seed", dest="seed_rng", type=int, default=0,

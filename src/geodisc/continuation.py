@@ -26,6 +26,7 @@ from .errors import (
     StepUnderflow,
 )
 from .stationary import (
+    PAIRING_TOL,
     Constraint,
     NewtonConfig,
     StationaryDisc,
@@ -42,6 +43,12 @@ from .stationary import (
 _INITIAL_STEP = 0.1
 _MIN_STEP = 1e-6
 _MAX_STEPS = 500
+
+# band rule after a rejected band: bands are multiples of _BAND_STEP, and the
+# next one is where the measured decay takes the pairing deviation to
+# PAIRING_TOL / _BAND_MARGIN
+_BAND_STEP = 8
+_BAND_MARGIN = 100.0
 
 
 def _direct(newton: NewtonConfig, N: int) -> NewtonConfig:
@@ -153,6 +160,29 @@ def _holder_estimate(f: FourierDisc) -> float:
     return _holder_constant(f.boundary_values(M), 128)
 
 
+def _next_band(f: FourierDisc, N: int, deviation: float) -> int:
+    """The band after a band-N disc f that normalize rejected with pairing
+    deviation `deviation`.
+
+    The decay rho is the ratio of the largest |f_k| in the top quarter of
+    the band to the largest in the quarter below it, to the power 1/(N/4);
+    the deviation is taken to fall like rho^k, so the next band is the
+    smallest multiple of _BAND_STEP at or above
+    N + log(PAIRING_TOL / _BAND_MARGIN / deviation) / log rho, kept within
+    [N + _BAND_STEP, 2N].  Without geometric decay (rho >= 1: a noise
+    plateau or algebraic decay) or a finite deviation it is 2N.
+    """
+    q = N // 4
+    norms = np.linalg.norm(f.coeffs, axis=1)
+    top, below = np.max(norms[-q:]), np.max(norms[-2 * q : -q])
+    if not (np.isfinite(deviation) and 0.0 < top < below):
+        return 2 * N
+    rho = (top / below) ** (1.0 / q)
+    grow = np.log(PAIRING_TOL / _BAND_MARGIN / deviation) / np.log(rho)
+    band = _BAND_STEP * int(np.ceil((N + grow) / _BAND_STEP))
+    return min(max(band, N + _BAND_STEP), 2 * N)
+
+
 def _trace_row(t: float, step: float, disc: StationaryDisc) -> dict:
     return {
         "t": float(t),
@@ -228,13 +258,18 @@ def solve_extremal(
     homotopy then deforms the ball into the dilated target while the
     (dilated) constraint stays fixed.  A coarse Newton solve at half the
     band newton.N, straight at t = 1 from the ball seed, starts the band
-    ladder N, 2N, 4N; newton.N is the first band whose disc can be
-    accepted.  The result is mapped back to the original coordinates,
-    normalized, and carries the continuation trace in its diagnostics.
+    ladder; newton.N (at least 8) is the first band whose disc can be
+    accepted, and 4N the last.  After a band N' whose disc normalize
+    rejects, the next band comes from that disc's measured decay
+    (_next_band), between N' + 8 and 2N'; otherwise the band doubles.  The
+    result is mapped back to the original coordinates, normalized, and
+    carries the continuation trace in its diagnostics.
     Raises StepUnderflow (with the partial path attached) when the
     continuation stalls.
     """
     newton = newton or NewtonConfig()
+    if newton.N < 8:
+        raise ValueError(f"N must be at least 8, got {newton.N}")
     z = np.asarray(z, dtype=complex)
     if z.shape != (domain.n,):
         raise DomainViolation(f"base point must have {domain.n} components")
@@ -262,19 +297,23 @@ def solve_extremal(
     # and band N starts from the ball.
     # Truncation error in the Fourier band scales like N|z|^N, so base
     # points close to the boundary can miss the pairing contract of the
-    # seed or of the normalization at the first band.  Retry with a
-    # doubled band, twice, before giving up.  A band whose converged disc
-    # fails the pairing test seeds the next band's Newton solve with that
-    # disc, zero-padded; only if that solve fails does the band restart
-    # from the ball.
+    # seed or of the normalization at the first band.  The bands then grow
+    # up to the top band 4N, where a failure is raised.  A band whose
+    # converged disc fails the pairing test seeds the next band's Newton
+    # solve with that disc, zero-padded, and picks that band by _next_band
+    # from its decay; only if that solve fails does the band restart from
+    # the ball.  Without a disc (a seed or a march failure) the band
+    # doubles.
     r1 = family(1.0)[0]
     coarse = newton.N // 2
     try:
         kept = newton_solve(r1, con_s, ball_seed(z_s, con_s, N=coarse), _direct(newton, coarse))
     except (NoConvergence, LeftDomain, NonConstantPairing):
         kept = None
-    for attempt in range(3):
-        nwt = replace(newton, N=newton.N * 2**attempt)
+    top = 4 * newton.N
+    band, shortened, ruled_out = newton.N, False, False
+    while True:
+        nwt = replace(newton, N=band)
         path = None
         try:
             if kept is not None:
@@ -284,19 +323,27 @@ def solve_extremal(
                     pass
             refined = path is not None
             if not refined:
-                path = continue_path(family, ball_seed(z_s, con_s, N=nwt.N), nwt)
+                path = continue_path(family, ball_seed(z_s, con_s, N=band), nwt)
             disc_s = normalize(path.disc)
             if refined:
                 # a refined disc's row, with its Holder estimate, is built
                 # only once normalize has accepted the disc
                 path.trace.append(_trace_row(1.0, 0.0, path.disc))
             break
-        except (NonConstantPairing, StepUnderflow):
-            if attempt == 2:
+        except (NonConstantPairing, StepUnderflow) as e:
+            if band >= top:
                 raise
+            # once a band that _next_band shortened is rejected too, the
+            # band only doubles: at most one band more than N, 2N, 4N runs
+            ruled_out = ruled_out or shortened
+            nxt = 2 * band
             # only a disc that normalize rejected seeds the next band
             if path is not None:
                 kept = path.disc
+                if not ruled_out:
+                    nxt = _next_band(kept.f, band, e.deviation)
+            shortened = nxt < 2 * band
+            band = min(nxt, top)
     f = disc_s.f * sigma
     f_tilde = disc_s.f_tilde * (1.0 / sigma)
     rho = disc_s.rho * (1.0 / sigma)

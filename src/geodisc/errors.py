@@ -46,7 +46,12 @@ class LeftDomain(GeodiscError):
 
 
 class NonConstantPairing(GeodiscError):
-    """f' . f_tilde deviates from a constant beyond tolerance."""
+    """f' . f_tilde deviates from a constant beyond tolerance; carries the
+    measured deviation where normalize measured one (NaN otherwise)."""
+
+    def __init__(self, message, deviation=float("nan")):
+        super().__init__(message)
+        self.deviation = deviation
 
 
 class InvalidConstraint(GeodiscError):

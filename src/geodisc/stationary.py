@@ -671,7 +671,7 @@ def normalize(disc: StationaryDisc) -> StationaryDisc:
     c0, dev, ftv = _pairing(disc.f, disc.f_tilde, M)
     if dev > PAIRING_TOL * max(1.0, abs(c0)):
         raise NonConstantPairing(
-            f"f'.f_tilde deviates from a constant by {dev:.3e}"
+            f"f'.f_tilde deviates from a constant by {dev:.3e}", deviation=dev
         )
     f_tilde, rho = _rescaled_dual(
         disc.f_tilde, ftv, c0, max(disc.q.k_max, disc.rho.k_max)

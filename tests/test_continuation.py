@@ -10,6 +10,7 @@ from geodisc.continuation import (
     mobius_ball,
     solve_extremal,
 )
+from geodisc.disc import FourierDisc
 from geodisc.domain import DomainSpec, PolynomialDefiningFunction
 from geodisc.errors import (
     DomainViolation,
@@ -240,7 +241,8 @@ def test_solve_direction_off_center_hits_the_direction():
 
 def test_solve_near_boundary_doubles_the_band():
     # at |z| = 0.75 the default band cannot keep the dual pairing constant
-    # to tolerance, so the solver retries with a doubled band
+    # to tolerance, so the solver retries with a larger band (96, from the
+    # decay of the rejected band-64 disc)
     B = ball_domain()
     z = np.array([0.45, 0.6])
     d = solve_extremal(B, z, Constraint("two-point", np.array([-0.3, 0.1])))
@@ -323,15 +325,16 @@ def record_newton_iters(monkeypatch):
 
 def test_rejected_band_seeds_the_next_band(monkeypatch):
     # bands 64 and 128 converge but miss the pairing test at |z| = 0.85;
-    # each refines the next band's Newton solve instead of a new march; the
+    # each refines the next band's Newton solve instead of a new march, at
+    # the band its decay gives (128, the doubled band, then 192); the
     # coarse band-32 solve fails here, so band 64 starts from the ball
     bands = record_seed_bands(monkeypatch)
     iters = record_newton_iters(monkeypatch)
     z, w = np.array([0.85, 0.0]), np.array([-0.3, 0.0])
     res, d = lempert_distance(ellipsoid_domain([1.0, 2.0]), z, w)
     assert bands == [32, 64]
-    assert d.f.k_max == 256 + 1
-    assert sum(k for N, k in iters if N in (128, 256)) <= 4
+    assert d.f.k_max == 192 + 1
+    assert sum(k for N, k in iters if N in (128, 192)) <= 4
     assert d.diagnostics["trace"][-1]["step"] == 0.0
     assert res.value == pytest.approx(np.arctanh(1.15 / 1.255), abs=1e-10)
     assert res.certificate_gap < 1e-7
@@ -367,7 +370,7 @@ def quartic_domain():
 
 def test_rejected_band_builds_no_trace_row(monkeypatch):
     # a pair of the benchmark's quartic pool: band 64 refines the coarse
-    # disc and normalize rejects it, band 128 refines again and passes; only
+    # disc and normalize rejects it, band 96 refines again and passes; only
     # that disc gets a trace row, the same row as before the band was
     # accepted
     rows, solved = [], []
@@ -386,11 +389,124 @@ def test_rejected_band_builds_no_trace_row(monkeypatch):
     z = np.array([0.053 + 0.222j, -0.262 + 0.247j])
     w = np.array([-0.22 - 0.221j, -0.298 - 0.061j])
     res, d = lempert_distance(quartic_domain(), z, w)
-    assert [s.q.k_max for s in solved] == [32, 64, 128]
+    assert [s.q.k_max for s in solved] == [32, 64, 96]
     assert len(rows) == 1 and rows[0] is solved[-1]
-    assert d.f.k_max == 128 + 1
+    assert d.f.k_max == 96 + 1
     assert d.diagnostics["trace"] == [real_row(1.0, 0.0, solved[-1])]
     assert res.report.passed
+
+
+def test_quartic_pair_certifies_below_band_128(monkeypatch):
+    # the band-64 disc of this quartic pool pair decays like 0.78^k, so band
+    # 96 meets the pairing test: its dense solves stay below dim 774, the
+    # size of one band-128 Newton step, and the value is the band-128 one
+    D = quartic_domain()
+    z = np.array([0.053 + 0.222j, -0.262 + 0.247j])
+    w = np.array([-0.22 - 0.221j, -0.298 - 0.061j])
+    reference, _ = lempert_distance(D, z, w, newton=NewtonConfig(N=128))
+    dims = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        dims.append(a.shape[0])
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    res, d = lempert_distance(D, z, w)
+    # 6N + 6 unknowns at band N: four band-32 steps, two at 64, one at 96
+    assert sorted(dims) == [198] * 4 + [390] * 2 + [582]
+    assert d.f.k_max == 96 + 1
+    assert not res.violations()
+    assert abs(res.value - reference.value) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the band after a rejected band
+# ---------------------------------------------------------------------------
+
+
+def geometric_disc(N, rho):
+    """A band-N disc as a solve leaves it, coefficients k = 0..N+1, with
+    |f_k| proportional to rho^k."""
+    k = np.arange(N + 2)
+    return FourierDisc(np.outer(rho**k, [1.0, 1j]), 0)
+
+
+def test_geometric_decay_gives_the_predicted_band():
+    # 64 + log(1e-10 / 1e-6) / log 0.8 = 105.3 and
+    # 128 + log(1e-10 / 3e-7) / log 0.85 = 177.3, rounded up to multiples of 8
+    assert continuation._next_band(geometric_disc(64, 0.8), 64, 1e-6) == 112
+    assert continuation._next_band(geometric_disc(128, 0.85), 128, 3e-7) == 184
+
+
+def test_no_measured_decay_doubles_the_band():
+    for rho in (1.0, 1.05):
+        assert continuation._next_band(geometric_disc(64, rho), 64, 1e-6) == 128
+    assert continuation._next_band(geometric_disc(64, 0.8), 64, np.nan) == 128
+    # 0.5^k down to a plateau of roundoff from k = 32 on: the top two
+    # quarters are noise of one size
+    rng = np.random.default_rng(0)
+    plateau = geometric_disc(64, 0.5).coeffs
+    plateau[32:] = 1e-16 * (rng.standard_normal((34, 2)) + 1j * rng.standard_normal((34, 2)))
+    assert continuation._next_band(FourierDisc(plateau, 0), 64, 1e-6) == 128
+
+
+def test_next_band_stays_between_n_plus_8_and_2n():
+    # slow decay asks for more than twice the band
+    assert continuation._next_band(geometric_disc(64, 0.99), 64, 1e-6) == 128
+    # fast decay asks for 61; the next multiple of 8 is 64, below 60 + 8
+    assert continuation._next_band(geometric_disc(60, 1e-3), 60, 1e-8) == 68
+
+
+def reject_every_band(monkeypatch):
+    """normalize rejects every disc with deviation 1e-6; returns the list
+    of bands whose disc it saw."""
+    bands = []
+
+    def normalize(disc):
+        bands.append(disc.q.k_max)
+        raise NonConstantPairing("forced rejection", deviation=1e-6)
+
+    monkeypatch.setattr(continuation, "normalize", normalize)
+    return bands
+
+
+@pytest.mark.parametrize(
+    "rule, ladder, ruled",
+    [
+        (lambda f, N, dev: N + 8, [64, 72, 144, 256], [64]),
+        (lambda f, N, dev: 2 * N, [64, 128, 256], [64, 128]),
+    ],
+    ids=["shortened", "doubled"],
+)
+def test_rejected_shortened_band_doubles_up_to_the_top_band(monkeypatch, rule, ladder, ruled):
+    # after the rule's band 72 is rejected the band doubles without asking
+    # the rule again, to 144 and then to the top band 4N = 256 rather than
+    # 288; a rule that doubles is asked after every band below the top; the
+    # top band's rejection is raised
+    asked = []
+
+    def next_band(f, N, deviation):
+        asked.append(N)
+        return rule(f, N, deviation)
+
+    monkeypatch.setattr(continuation, "_next_band", next_band)
+    bands = reject_every_band(monkeypatch)
+    with pytest.raises(NonConstantPairing, match="forced rejection"):
+        lempert_distance(ellipsoid_domain(COARSE_A), COARSE_Z, COARSE_W)
+    assert bands == ladder
+    assert asked == ruled
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7])
+def test_first_band_below_8_is_refused_before_any_solve(monkeypatch, N):
+    def solve(*args):
+        raise AssertionError("no Newton solve may run")
+
+    monkeypatch.setattr(continuation, "newton_solve", solve)
+    with pytest.raises(ValueError, match="at least 8"):
+        solve_extremal(ellipsoid_domain(COARSE_A), COARSE_Z,
+                       Constraint("two-point", COARSE_W), NewtonConfig(N=N))
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,9 @@ E12_AXES = np.array([1.0, 2.0])
         (kobayashi_royden, ball_kappa,
          (0.2 + 0.1j, 0.5 - 0.3j), (0.4, -0.3 + 0.5j), 64),
         (kobayashi_royden, ball_kappa,
-         (0.6 + 0.3j, -0.7 + 0.5j), (1.0, 0.5j), 128),
+         (0.6 + 0.3j, -0.7 + 0.5j), (1.0, 0.5j), 112),
     ],
-    ids=["pair-band64", "pair-band128", "direction-band64", "direction-band128"],
+    ids=["pair-band64", "pair-band128", "direction-band64", "direction-band112"],
 )
 def test_ellipsoid_matches_the_ball_under_the_linear_map(solve, ball_value, z, y, band):
     z, y = np.array(z), np.array(y)
@@ -474,7 +474,8 @@ def test_quartic_solve_is_certified_symmetric_and_sandwiched(solve, ball_value, 
 
 def test_quartic_pair_certified_after_band_refinement():
     # this pair misses the pairing test at band 256 when every band restarts
-    # from the ball (deviation 1.8e-8); refined from band 128 it passes
+    # from the ball (deviation 1.8e-8); refined from band 128 it passes at
+    # band 208, the band the band-128 disc's decay gives
     D = quartic_domain()
     z = np.array([0.07 + 0.06j, -0.521 - 0.057j])
     w = np.array([0.061 - 0.225j, 0.297 + 0.394j])
@@ -483,7 +484,7 @@ def test_quartic_pair_certified_after_band_refinement():
     for r in (res, swapped):
         assert r.certificate_gap < 1e-7
         assert r.report.passed
-    assert d.f.k_max == 256 + 1
+    assert d.f.k_max == 208 + 1
     assert abs(res.value - swapped.value) < 1e-10
     lo = ball_formula(z / QUARTIC_RHO_OUT, w / QUARTIC_RHO_OUT)
     hi = ball_formula(z / QUARTIC_RHO_IN, w / QUARTIC_RHO_IN)
@@ -579,9 +580,9 @@ def test_quartic_march_solves_on_the_gauge_interpolant(monkeypatch):
     ran = march_from_the_ball(monkeypatch)
     marched, d = lempert_distance(D, z, w)
     # five band-64 steps inside (0, 1) solve on t mu^2 + (1 - t)|x|^2 - 1;
-    # t = 1 and the band-128 refinement solve on the quartic itself
+    # t = 1 and the band-96 refinement solve on the quartic itself
     kinds = [type(r) for r in ran]
     assert kinds == [GaugeInterpolant] * 5 + [PolynomialDefiningFunction] * 2
-    assert d.f.k_max == 128 + 1
+    assert d.f.k_max == 96 + 1
     assert marched.value == pytest.approx(direct.value, abs=1e-14)
     assert not marched.violations()
